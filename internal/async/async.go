@@ -127,7 +127,9 @@ type cursorSource struct {
 func (c *cursorSource) Uint64() uint64   { return c.states[c.node].Uint64() }
 func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
 
-// shard is one worker's private state.
+// shard is one worker's private state. The cursor, sender, clock and
+// counters are written per peer and per message, so the struct ends in a
+// par.Pad: no two shards' state share a cache line.
 type shard struct {
 	w      int
 	src    cursorSource
@@ -142,6 +144,8 @@ type shard struct {
 	clamped int64
 	fired   int64
 	byKind  [256]int64
+
+	_ par.Pad
 }
 
 // Runtime executes an asynchronous protocol over n peers with shard
@@ -448,8 +452,10 @@ func (rt *Runtime) deliver() {
 	rt.inbox.Prefix()
 
 	if cap(rt.sorted) < len(buf) {
-		rt.sorted = make([]simnet.Message, len(buf))
-		rt.sortedIdx = make([]int32, len(buf))
+		// Size to the slot's capacity, not its length: slots grow by
+		// doubling, so the delivered view regrows only when they do.
+		rt.sorted = make([]simnet.Message, cap(buf))
+		rt.sortedIdx = make([]int32, cap(buf))
 	}
 	rt.sorted = rt.sorted[:len(buf)]
 	rt.sortedIdx = rt.sortedIdx[:len(buf)]

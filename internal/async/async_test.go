@@ -2,9 +2,12 @@ package async
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/simnet"
 )
@@ -312,5 +315,21 @@ func TestAsyncOverlappingRuntimes(t *testing.T) {
 		if digests[i] != digests[0] {
 			t.Fatalf("concurrent runtime %d diverged", i)
 		}
+	}
+}
+
+func TestShardOwnCacheLine(t *testing.T) {
+	// The cursor and sender are written once per peer, the counters once
+	// per message. Every field before the trailing pad counts as hot, so a
+	// field added anywhere but after the pad is covered too: shard w's hot
+	// fields and shard w+1's must sit at least a cache line apart.
+	var sh shard
+	typ := reflect.TypeOf(sh)
+	pad := typ.Field(typ.NumField() - 1)
+	if pad.Type != reflect.TypeOf(par.Pad{}) {
+		t.Fatalf("shard must end in a par.Pad, ends in %s %s", pad.Name, pad.Type)
+	}
+	if gap := unsafe.Sizeof(sh) - pad.Offset + unsafe.Offsetof(sh.w); gap < par.CacheLine {
+		t.Fatalf("adjacent shards' hot fields %d B apart, want >= %d", gap, par.CacheLine)
 	}
 }

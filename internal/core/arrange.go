@@ -33,16 +33,6 @@ const (
 	domainMatch   uint64 = 2
 )
 
-// arrangeWorker extends the engine's per-worker scratch with a reseedable
-// generator: the worker reseeds it for every node (scatter) or bucket
-// (match) it processes, which costs four SplitMix64 steps — far cheaper
-// than allocating a stream per unit of work.
-type arrangeWorker struct {
-	workerScratch
-	gen    *rng.Xoshiro256
-	stream *rng.Stream
-}
-
 // Arranger runs dating rounds directly from per-node supply and demand
 // vectors, reusing scratch buffers across rounds. Like Service, an Arranger
 // runs one round at a time — do not call Arrange concurrently; parallelism
@@ -50,7 +40,7 @@ type arrangeWorker struct {
 type Arranger struct {
 	sel Selector
 
-	ws         []arrangeWorker
+	ws         []workerScratch // the engine's padded per-worker scratch
 	offers     exchInt32
 	reqs       exchInt32
 	offerOff   []int32 // len n+1: offers bucket v is offersFlat[offerOff[v]:offerOff[v+1]]
@@ -134,11 +124,11 @@ func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, err
 			}
 			ws.gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
 			for k := 0; k < out[i]; k++ {
-				dest := a.sel.Pick(ws.stream)
+				dest := a.sel.Pick(&ws.stream)
 				a.offers.Record(w, int32(dest), int32(i))
 			}
 			for k := 0; k < in[i]; k++ {
-				dest := a.sel.Pick(ws.stream)
+				dest := a.sel.Pick(&ws.stream)
 				a.reqs.Record(w, int32(dest), int32(i))
 			}
 		}
@@ -168,7 +158,7 @@ func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, err
 				continue
 			}
 			ws.gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
-			MatchRendezvous(offers, requests, ws.stream, emit)
+			MatchRendezvous(offers, requests, &ws.stream, emit)
 		}
 	})
 
@@ -188,10 +178,7 @@ func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, err
 
 // ensure sizes the scratch for an (n, workers) round.
 func (a *Arranger) ensure(n, workers int) {
-	for len(a.ws) < workers {
-		gen := rng.NewXoshiro256(0)
-		a.ws = append(a.ws, arrangeWorker{gen: gen, stream: rng.NewWithSource(gen)})
-	}
+	a.ws = growWorkers(a.ws, workers)
 	if len(a.offerOff) != n+1 {
 		a.offerOff = make([]int32, n+1)
 		a.reqOff = make([]int32, n+1)

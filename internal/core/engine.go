@@ -68,12 +68,36 @@ type Preparer interface {
 type exchInt32 = exch.Exchange[int32]
 
 // workerScratch is the per-worker slice of the engine state that is not
-// part of the request exchange: the private date buffer of the match pass
-// and the control-message counters of the scatter pass.
+// part of the request exchange: the private date buffer of the match pass,
+// the control-message counters of the scatter pass and the reseedable
+// generator of the seeded paths. The counters, the date buffer and the
+// generator are written in the hot loop, so the struct ends in a par.Pad:
+// no two workers' scratch share a cache line.
 type workerScratch struct {
 	dates        []Date
 	offersSent   int
 	requestsSent int
+
+	// gen is reseeded per node (scatter) and per bucket (match) by the
+	// seeded round and the Arranger — four SplitMix64 steps, far cheaper
+	// than allocating a stream per unit of work; stream draws from gen.
+	gen    rng.Xoshiro256
+	stream rng.Stream
+
+	_ par.Pad
+}
+
+// growWorkers extends ws to at least workers entries. Growing may move the
+// scratch, so every worker's stream is rebound to its own generator.
+func growWorkers(ws []workerScratch, workers int) []workerScratch {
+	if len(ws) >= workers {
+		return ws
+	}
+	ws = append(ws, make([]workerScratch, workers-len(ws))...)
+	for w := range ws {
+		ws[w].stream = *rng.NewWithSource(&ws[w].gen)
+	}
+	return ws
 }
 
 // reset readies the scratch for a round.
@@ -106,11 +130,6 @@ type engineScratch struct {
 	liveCut    []int // churn-rebalanced sender cuts of the filtered seeded path
 	rdvCut     []int // len workers+1: worker w matches rendezvous [cut[w], cut[w+1])
 	one        [1]*rng.Stream
-
-	// Reseedable per-worker generators for the per-node/per-bucket derived
-	// streams of the seeded round path (see seeded.go); sized lazily.
-	seedGens    []*rng.Xoshiro256
-	seedStreams []*rng.Stream
 
 	// weight is the sender-shard balance weight bout(i)+bin(i); set by
 	// NewService (engineScratch does not hold the profile).
@@ -294,9 +313,7 @@ func mergeRound(n, workers int, scratch func(w int) *workerScratch) RoundResult 
 // still split evenly. The request exchanges are re-partitioned every round
 // (a no-op while (n, workers) is stable).
 func (eng *engineScratch) ensure(n, workers int) {
-	if len(eng.ws) < workers {
-		eng.ws = append(eng.ws, make([]workerScratch, workers-len(eng.ws))...)
-	}
+	eng.ws = growWorkers(eng.ws, workers)
 	if len(eng.offerOff) != n+1 {
 		eng.offerOff = make([]int32, n+1)
 		eng.reqOff = make([]int32, n+1)

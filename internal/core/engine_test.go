@@ -4,8 +4,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bandwidth"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -268,6 +270,49 @@ func TestBalancedCuts(t *testing.T) {
 	for p := 0; p < 4; p++ {
 		if size := cuts[p+1] - cuts[p]; size < 240 || size > 260 {
 			t.Fatalf("uniform cuts %v badly unbalanced", cuts)
+		}
+	}
+}
+
+func TestWorkerScratchOwnCacheLine(t *testing.T) {
+	// The hot loop writes the counters once per request, the generator
+	// once per draw and the date buffer once per date. Every field before
+	// the trailing pad counts as hot, so a
+	// field added anywhere but after the pad is covered too: worker w's
+	// hot fields and worker w+1's must sit at least a cache line apart.
+	var ws workerScratch
+	typ := reflect.TypeOf(ws)
+	pad := typ.Field(typ.NumField() - 1)
+	if pad.Type != reflect.TypeOf(par.Pad{}) {
+		t.Fatalf("workerScratch must end in a par.Pad, ends in %s %s", pad.Name, pad.Type)
+	}
+	if gap := unsafe.Sizeof(ws) - pad.Offset + unsafe.Offsetof(ws.dates); gap < par.CacheLine {
+		t.Fatalf("adjacent workers' hot fields %d B apart, want >= %d", gap, par.CacheLine)
+	}
+
+	// The seeded Service round and the Arranger keep exactly this scratch,
+	// and growing it (append may move it) must leave every worker's stream
+	// drawing from its own generator.
+	sv := parallelService(t, 1000, 2)
+	a, err := NewArranger(sv.sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, in := sv.profile.Out, sv.profile.In
+	for _, workers := range []int{1, 3, 8} {
+		if _, err := sv.RunRoundSeeded(5, workers); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Arrange(out, in, 5, workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, scratch := range map[string][]workerScratch{"service": sv.eng.ws, "arranger": a.ws} {
+		for w := range scratch {
+			scratch[w].gen.Seed(uint64(w))
+			if got, want := scratch[w].stream.Uint64(), rng.NewXoshiro256(uint64(w)).Uint64(); got != want {
+				t.Fatalf("%s worker %d: stream draws %#x, own generator gives %#x", name, w, got, want)
+			}
 		}
 	}
 }

@@ -52,7 +52,6 @@ func (sv *Service) RunRoundsSeeded(seeds []uint64, workers int) ([]RoundResult, 
 	n := sv.profile.N()
 	eng := &sv.eng
 	eng.ensure(n, workers)
-	eng.ensureSeeded(workers)
 	eng.offersBack.Reset(workers, eng.offers.Part())
 	eng.reqsBack.Reset(workers, eng.reqs.Part())
 	scratch := func(w int) *workerScratch { return &eng.ws[w] }

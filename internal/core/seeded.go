@@ -77,7 +77,6 @@ func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i
 	n := sv.profile.N()
 	eng := &sv.eng
 	eng.ensure(n, workers)
-	eng.ensureSeeded(workers)
 	scratch := func(w int) *workerScratch { return &eng.ws[w] }
 	cut := eng.senderShards(n, workers, alive)
 
@@ -116,12 +115,12 @@ func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i
 func (eng *engineScratch) scatterSeeded(sv *Service, w int, cut []int, seed uint64, alive func(i int) bool, offers, reqs *exchInt32) {
 	ws := &eng.ws[w]
 	out, in := sv.profile.Out, sv.profile.In
-	gen, s := eng.seedGens[w], eng.seedStreams[w]
+	s := &ws.stream
 	for i := cut[w]; i < cut[w+1]; i++ {
 		if alive != nil && !alive(i) {
 			continue
 		}
-		gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
+		ws.gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
 		for k := 0; k < out[i]; k++ {
 			dest := sv.sel.Pick(s)
 			if alive != nil && !alive(dest) {
@@ -145,7 +144,6 @@ func (eng *engineScratch) scatterSeeded(sv *Service, w int, cut []int, seed uint
 // front buffers, appending to the worker's date buffer.
 func (eng *engineScratch) matchSeeded(w int, seed uint64) {
 	ws := &eng.ws[w]
-	gen, s := eng.seedGens[w], eng.seedStreams[w]
 	emit := func(sender, receiver int32) {
 		ws.dates = append(ws.dates, Date{Sender: int(sender), Receiver: int(receiver)})
 	}
@@ -155,8 +153,8 @@ func (eng *engineScratch) matchSeeded(w int, seed uint64) {
 		if len(offers) == 0 || len(requests) == 0 {
 			continue
 		}
-		gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
-		MatchRendezvous(offers, requests, s, emit)
+		ws.gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
+		MatchRendezvous(offers, requests, &ws.stream, emit)
 	}
 }
 
@@ -178,13 +176,4 @@ func (eng *engineScratch) senderShards(n, workers int, alive func(i int) bool) [
 		return eng.weight(i)
 	})
 	return eng.liveCut
-}
-
-// ensureSeeded sizes the reseedable generators of the seeded round path.
-func (eng *engineScratch) ensureSeeded(workers int) {
-	for len(eng.seedGens) < workers {
-		gen := rng.NewXoshiro256(0)
-		eng.seedGens = append(eng.seedGens, gen)
-		eng.seedStreams = append(eng.seedStreams, rng.NewWithSource(gen))
-	}
 }

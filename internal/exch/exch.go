@@ -34,7 +34,13 @@
 // and RecordTo may run concurrently for distinct w; Fill and SetBase/Flush
 // may run concurrently for distinct owners, strictly after Prefix (or an
 // external base assignment) and the barrier that ends the record phase.
+// Worker-private mutable state never shares a cache line with another
+// worker's: every chunk header ends in a par.Pad, so the slice-length
+// writes of Record (rows), Flush (rows) and SetBase (columns) never touch
+// a line another worker is writing.
 package exch
+
+import "repro/internal/par"
 
 // Partition splits the destination space [0, n) into parts contiguous
 // uniform id ranges, one per owner.
@@ -65,6 +71,7 @@ type chunk[T any] struct {
 	// off is this chunk's write offset in the destination slice, set by
 	// SetBase and consumed by Flush.
 	off int
+	_   par.Pad
 }
 
 // Exchange is a reusable per-(worker, owner) chunk exchange over a value

@@ -3,7 +3,9 @@ package exch
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -177,5 +179,23 @@ func TestSwap(t *testing.T) {
 		if len(got) != len(wantNext[v]) || (len(got) > 0 && !reflect.DeepEqual(got, wantNext[v])) {
 			t.Fatalf("bucket %d after swap = %v, want %v", v, got, wantNext[v])
 		}
+	}
+}
+
+func TestChunkHeadersOwnCacheLines(t *testing.T) {
+	// Record rewrites a chunk header's slice lengths once per record, from
+	// the chunk's worker; Flush and SetBase write them from workers and
+	// owners. Every field before the trailing pad counts as hot, so a field
+	// added anywhere but after the pad is covered too: chunk i's hot
+	// fields and chunk i+1's must sit at least a cache line apart, which
+	// separates both rows (workers) and columns (owners).
+	var c chunk[int32]
+	typ := reflect.TypeOf(c)
+	pad := typ.Field(typ.NumField() - 1)
+	if pad.Type != reflect.TypeOf(par.Pad{}) {
+		t.Fatalf("chunk must end in a par.Pad, ends in %s %s", pad.Name, pad.Type)
+	}
+	if gap := unsafe.Sizeof(c) - pad.Offset + unsafe.Offsetof(c.keys); gap < par.CacheLine {
+		t.Fatalf("adjacent chunks' hot fields %d B apart, want >= %d", gap, par.CacheLine)
 	}
 }

@@ -141,7 +141,9 @@ func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
 
 // shard is one worker's private state. Shards only ever touch their own
 // fields plus disjoint regions of the runtime's flat arrays and their own
-// rows/ranges of the two exchanges.
+// rows/ranges of the two exchanges. The cursor, sender and counters are
+// written per peer and per message, so the struct ends in a par.Pad: no
+// two shards' state share a cache line.
 type shard struct {
 	w         int
 	src       cursorSource
@@ -157,6 +159,8 @@ type shard struct {
 	dropped int64
 	clamped int64
 	byKind  [256]int64
+
+	_ par.Pad
 }
 
 // Runtime executes a protocol over n peers with shard workers. Construct
@@ -481,8 +485,10 @@ func (rt *Runtime) deliverRecord() bool {
 	rt.inbox.Prefix()
 
 	if cap(rt.sorted) < len(buf) {
-		rt.sorted = make([]simnet.Message, len(buf))
-		rt.sortedIdx = make([]int32, len(buf))
+		// Size to the slot's capacity, not its length: slots grow by
+		// doubling, so the delivered view regrows only when they do.
+		rt.sorted = make([]simnet.Message, cap(buf))
+		rt.sortedIdx = make([]int32, cap(buf))
 	}
 	rt.sorted = rt.sorted[:len(buf)]
 	rt.sortedIdx = rt.sortedIdx[:len(buf)]

@@ -1,5 +1,6 @@
-// Package par holds the one concurrency primitive the engines share: a
-// deterministic fork-join fan-out over a fixed worker count.
+// Package par holds the concurrency primitives the engines share: a
+// deterministic fork-join fan-out over a fixed worker count, and the pad
+// that keeps each worker's hot state on cache lines of its own.
 package par
 
 import "sync"
@@ -26,3 +27,15 @@ func Do(workers int, f func(w int)) {
 	f(0)
 	wg.Wait()
 }
+
+// CacheLine is the coherence granule, in bytes, that worker-private state
+// is kept apart by (64 B on every x86-64 and most arm64 parts).
+const CacheLine = 64
+
+// Pad ends every per-worker struct the engines keep in a slice indexed by
+// worker. Two workers writing the same cache line — even to distinct
+// fields — make the line bounce between cores on every write (false
+// sharing); a trailing Pad puts at least CacheLine bytes between worker w's
+// last field and worker w+1's first, so no line ever holds hot state of two
+// workers, whatever the slice's alignment.
+type Pad [CacheLine]byte

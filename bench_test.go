@@ -294,9 +294,9 @@ func BenchmarkDatingRoundUniform100k(b *testing.B) {
 	benchDatingRound(b, 100000, sel)
 }
 
-// BenchmarkParallelRound times one dating round on the flat engine at
-// rumor-scale node counts, serial (workers=1) versus the parallel path.
-// The n=1M cases are the ISSUE's million-node profile benchmark:
+// BenchmarkParallelRound times one seeded dating round at rumor-scale
+// node counts, serial (workers=1) versus parallel. The n=1M cases are the
+// million-node profile benchmark:
 //
 //	go test -bench 'ParallelRound/n=1000000' -benchtime 3x
 func BenchmarkParallelRound(b *testing.B) {
@@ -311,11 +311,10 @@ func BenchmarkParallelRound(b *testing.B) {
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				streams := rng.NewStreams(21, workers)
 				dates := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := svc.RunRoundParallel(streams, workers)
+					res, err := svc.RunRoundSeeded(uint64(21+i), workers, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -16,26 +16,21 @@
 // across N goroutines (default GOMAXPROCS); overlay seeds are derived from
 // (seed, n, overlay), so the table is byte-identical for every -par value.
 //
-// engine mode times one dating round at a fixed large n (default one
-// million nodes) on the serial path and on the parallel engine at 2, 4,
-// ..., -workers workers, reporting seconds per round, request throughput
-// and speedup. It then times the seeded engine (worker-count-independent
-// rounds) against the pipelined schedule (RunRoundsSeeded — round r+1's
-// scatter overlapping round r's matching) at the same worker counts,
-// verifying the two produce bit-identical dates; the pipelined row's
-// speedup column is its gain over the same-worker seeded row. -json emits
-// the result as machine-readable JSON — including the generic
-// Report-derived "points" records shared by every BENCH_*.json writer — so
-// perf trajectory points can be recorded across versions:
+// engine mode times one seeded dating round — the path every protocol
+// runs — at a fixed large n (default one million nodes) at 1, 2, 4, ...,
+// -workers workers, reporting seconds per round, request throughput and
+// speedup over one worker, and verifying every worker count arranges the
+// same dates. -json emits the result as machine-readable JSON — including
+// the generic Report-derived "points" records shared by every BENCH_*.json
+// writer — so perf trajectory points can be recorded across versions:
 //
 //	datebench -mode engine -n 1000000 -rounds 5 -workers 8 -json > BENCH_engine.json
 //
 // live mode runs full message-level rumor spreading (every offer, answer
 // and payload an actual routed message) to completion through the unified
 // repro.Run entrypoint, on the sharded internal/live runtime at 1 and
-// -shards workers, the pipelined sharded schedule (WithPipeline, fusing
-// delivery into the step phase), plus — with -baseline, the default — the
-// legacy goroutine-per-peer engine. All runs derive per-peer randomness
+// -shards workers, plus — with -baseline, the default — the legacy
+// goroutine-per-peer engine. All runs derive per-peer randomness
 // identically, so their informed-count trajectories must agree bit for
 // bit; datebench exits non-zero if they do not, which makes every
 // benchmark run a cross-engine correctness check (CI runs it at n=100k).

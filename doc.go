@@ -36,13 +36,6 @@
 //     every budget-fed engine derives randomness per unit of work rather
 //     than per worker, the budget is a pure speed knob: bit-identical
 //     reports at every value.
-//   - WithPipeline batches k rounds at a time through the double-buffered
-//     engine: dating-based rumor runs feed k round seeds to
-//     DatingService.RunRoundsSeeded (round r+1's scatter overlapping round
-//     r's matching; sequential under churn, which needs a per-round alive
-//     barrier), and sharded live runs take the fused delivery+step loop.
-//     Like the worker budget it is a pure speed knob — bit-identical
-//     reports at every depth.
 //   - WithEngine picks the execution substrate for live runs (sharded by
 //     default, goroutine-per-peer on request); under the perfect-sync
 //     network both substrates produce the identical report.
@@ -113,16 +106,9 @@
 // layout is a pure function of the round's inputs, so results never depend
 // on scheduling. Golden tests pin the engine's output bit-for-bit at
 // workers {1, 2, 4, 8}, and an allocation regression test asserts that
-// first-round bytes do not scale with the worker count.
-//
-// The Exchange double-buffers: Swap flips a front/back pair of chunk
-// buffers, which is what lets consecutive rounds overlap.
-// DatingService.RunRoundsSeeded(seeds, workers) scatters round r+1 into
-// the back buffers while the owners still match round r from the front,
-// and the live runtime's pipelined loop fuses delivery into the step phase
-// (an owner's destination range is its peer range). Both schedules are
-// bit-identical to their sequential counterparts; WithPipeline selects
-// them under Run.
+// first-round bytes do not scale with the worker count. Every dating-round
+// entry point — RunRound, RunRoundSeeded, RunRoundShared, Arrange,
+// ArrangeShared and ArrangeDates — runs through this one round body.
 //
 // # Worker-count-independent engines
 //
@@ -133,13 +119,11 @@
 // the match pass (SplitMix64(seed, matchDomain, rendezvous)), so whichever
 // worker processes a node or bucket draws exactly the same values:
 // Arrange(out, in, seed, workers) is bit-for-bit identical for every
-// workers count. The same scheme is ported to the profile round path as
-// DatingService.RunRoundSeeded(seed, workers), and ArrangeShared /
+// workers count. The same scheme drives the profile round path as
+// DatingService.RunRoundSeeded(seed, workers, alive), and ArrangeShared /
 // RunRoundShared draw the worker count from a shared par.Budget instead of
 // a fixed knob — which is how a Run's rounds, and the experiment harness's
 // tail jobs, soak up idle cores without being able to change a number.
-// (The older DatingService.RunRoundParallel, whose output depends on
-// (seed, workers), remains for engine benchmarking.)
 //
 // # The sharded live-message runtime
 //

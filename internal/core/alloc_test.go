@@ -36,7 +36,7 @@ func allocFirstRound(t *testing.T, n, workers int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.RunRoundSeeded(1, workers); err != nil {
+	if _, err := svc.RunRoundSeeded(1, workers, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -78,14 +78,14 @@ func TestSteadyStateRoundAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.RunRoundSeeded(1, workers); err != nil { // warm-up
+		if _, err := svc.RunRoundSeeded(1, workers, nil); err != nil { // warm-up
 			t.Fatal(err)
 		}
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for r := 0; r < rounds; r++ {
-			if _, err := svc.RunRoundSeeded(uint64(r+2), workers); err != nil {
+			if _, err := svc.RunRoundSeeded(uint64(r+2), workers, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

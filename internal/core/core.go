@@ -125,14 +125,18 @@ func (r RoundResult) Fraction(m int) float64 {
 // Service runs dating-service rounds for a fixed bandwidth profile and
 // selection distribution. A Service reuses internal scratch buffers between
 // rounds and therefore runs one round at a time: do not call its methods
-// concurrently. RunRoundParallel parallelizes *inside* a round with worker
+// concurrently. RunRoundSeeded parallelizes *inside* a round with worker
 // goroutines the Service manages itself.
 type Service struct {
 	profile bandwidth.Profile
 	sel     Selector
 
-	// round scratch, reused across rounds (see engine.go)
-	eng engineScratch
+	// staticCut caches the profile-weight sender cuts of unfiltered rounds
+	// for cutWorkers workers (0: not computed yet).
+	staticCut  []int
+	cutWorkers int
+
+	engineScratch // round scratch, reused across rounds (see engine.go)
 }
 
 // NewService validates the configuration and returns a Service. The profile
@@ -147,9 +151,7 @@ func NewService(p bandwidth.Profile, sel Selector) (*Service, error) {
 	if p.N() != sel.N() {
 		return nil, fmt.Errorf("core: profile has %d nodes but selector addresses %d", p.N(), sel.N())
 	}
-	sv := &Service{profile: p, sel: sel}
-	sv.eng.weight = func(i int) int { return p.Out[i] + p.In[i] }
-	return sv, nil
+	return &Service{profile: p, sel: sel}, nil
 }
 
 // Profile returns the service's bandwidth profile.
@@ -161,25 +163,12 @@ func (sv *Service) N() int { return sv.profile.N() }
 // M returns m = min(Bin, Bout), the centralized optimum per round.
 func (sv *Service) M() int { return sv.profile.M() }
 
-// RunRound executes Algorithm 1 once and returns the arranged dates.
-// Participate(i) == false nodes are skipped entirely (crashed peers);
-// pass nil to include everyone.
+// RunRound executes Algorithm 1 once with every node participating and
+// returns the arranged dates. It runs on one worker and draws every random
+// value from s, in node order for the scatter and rendezvous order for the
+// match; RunRoundSeeded is the worker-count-independent parallel form.
 func (sv *Service) RunRound(s *rng.Stream) RoundResult {
-	return sv.RunRoundFiltered(s, nil)
-}
-
-// RunRoundFiltered is RunRound with an optional liveness predicate. Crashed
-// nodes neither emit requests nor act as rendezvous points, and requests
-// addressed to them are lost — matching the behavior of a real overlay
-// where a dead rendezvous simply never answers.
-//
-// The round runs on the flat engine of engine.go with a single worker: the
-// scatter pass records (rendezvous, sender) pairs and counting-sorts them
-// into one contiguous buffer per request kind, and the match pass walks the
-// buckets in rendezvous order.
-func (sv *Service) RunRoundFiltered(s *rng.Stream, alive func(i int) bool) RoundResult {
-	sv.eng.one[0] = s
-	return sv.runEngine(sv.eng.one[:], 1, alive)
+	return sv.runRound(sv.senderShards(1, nil), nil, 0, s, 1)
 }
 
 // MatchRendezvous implements the rendezvous step of Algorithm 1 for one

@@ -277,14 +277,16 @@ func TestFractionGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestRunRoundFilteredExcludesDead(t *testing.T) {
+func TestSeededRoundExcludesDead(t *testing.T) {
 	const n = 60
 	sv := uniformService(t, n, 2)
-	s := rng.New(12)
 	dead := map[int]bool{3: true, 7: true, 20: true}
 	alive := func(i int) bool { return !dead[i] }
 	for round := 0; round < 10; round++ {
-		res := sv.RunRoundFiltered(s, alive)
+		res, err := sv.RunRoundSeeded(uint64(12+round), 1, alive)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, d := range res.Dates {
 			if dead[d.Sender] || dead[d.Receiver] {
 				t.Fatalf("date %v involves a dead node", d)
@@ -296,9 +298,12 @@ func TestRunRoundFilteredExcludesDead(t *testing.T) {
 	}
 }
 
-func TestRunRoundFilteredAllDead(t *testing.T) {
+func TestSeededRoundAllDead(t *testing.T) {
 	sv := uniformService(t, 10, 1)
-	res := sv.RunRoundFiltered(rng.New(13), func(int) bool { return false })
+	res, err := sv.RunRoundSeeded(13, 2, func(int) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Dates) != 0 || res.OffersSent != 0 {
 		t.Fatalf("dead network arranged %d dates", len(res.Dates))
 	}

@@ -22,49 +22,56 @@ func parallelService(t *testing.T, n, b int) *Service {
 }
 
 func TestRunRoundParallelValidation(t *testing.T) {
+	// The parallel round's configuration checks: a worker count below one is
+	// rejected, with and without an alive filter; any positive count — even
+	// one above the node count, which leaves some shards empty — is valid.
 	sv := parallelService(t, 10, 1)
-	streams := rng.NewStreams(1, 2)
-	if _, err := sv.RunRoundParallel(streams, 0); err == nil {
-		t.Error("accepted workers = 0")
+	alive := func(i int) bool { return i%2 == 0 }
+	for _, workers := range []int{0, -1} {
+		if _, err := sv.RunRoundSeeded(1, workers, nil); err == nil {
+			t.Errorf("accepted workers = %d", workers)
+		}
+		if _, err := sv.RunRoundSeeded(1, workers, alive); err == nil {
+			t.Errorf("filtered round accepted workers = %d", workers)
+		}
 	}
-	if _, err := sv.RunRoundParallel(streams, 3); err == nil {
-		t.Error("accepted more workers than streams")
-	}
-	if _, err := sv.RunRoundParallel([]*rng.Stream{streams[0], nil}, 2); err == nil {
-		t.Error("accepted a nil stream")
-	}
-	if _, err := sv.RunRoundParallel(streams, 2); err != nil {
-		t.Errorf("rejected a valid configuration: %v", err)
+	for _, workers := range []int{1, 2, 12} {
+		if _, err := sv.RunRoundSeeded(1, workers, nil); err != nil {
+			t.Errorf("workers=%d: rejected a valid configuration: %v", workers, err)
+		}
+		if _, err := sv.RunRoundSeeded(1, workers, alive); err != nil {
+			t.Errorf("workers=%d: filtered round rejected a valid configuration: %v", workers, err)
+		}
 	}
 }
 
-func TestRunRoundParallelDeterministic(t *testing.T) {
-	// The acceptance bar: for a fixed (seed, workers) the parallel round is
-	// bit-for-bit reproducible, including Date order, regardless of how the
-	// goroutines were actually scheduled.
+func TestSeededRoundDeterministic(t *testing.T) {
+	// For a fixed seed the seeded round is bit-for-bit reproducible,
+	// including Date order, regardless of how the goroutines were actually
+	// scheduled — and the same at every worker count.
 	const n, seed = 3000, 99
-	for _, workers := range []int{1, 2, 3, 4, 7, 8} {
-		run := func() []RoundResult {
-			sv := parallelService(t, n, 2)
-			streams := rng.NewStreams(seed, workers)
-			var out []RoundResult
-			for r := 0; r < 5; r++ {
-				res, err := sv.RunRoundParallel(streams, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, res)
+	run := func(workers int) []RoundResult {
+		sv := parallelService(t, n, 2)
+		seeds := rng.New(seed)
+		var out []RoundResult
+		for r := 0; r < 5; r++ {
+			res, err := sv.RunRoundSeeded(seeds.Uint64(), workers, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return out
+			out = append(out, res)
 		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("workers=%d: two runs with the same seed diverged", workers)
+		return out
+	}
+	ref := run(1)
+	for _, workers := range []int{1, 2, 3, 4, 7, 8} {
+		if got := run(workers); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d: run diverged from the workers=1 run", workers)
 		}
 	}
 }
 
-func TestRunRoundParallelCapacities(t *testing.T) {
+func TestSeededRoundCapacities(t *testing.T) {
 	// The paper's safety property must hold on the parallel path for skewed
 	// profiles and selection distributions alike.
 	s := rng.New(100)
@@ -81,9 +88,8 @@ func TestRunRoundParallelCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := mustService(t, p, sel)
-	streams := rng.NewStreams(101, 4)
 	for round := 0; round < 20; round++ {
-		res, err := sv.RunRoundParallel(streams, 4)
+		res, err := sv.RunRoundSeeded(uint64(101+round), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,13 +99,12 @@ func TestRunRoundParallelCapacities(t *testing.T) {
 	}
 }
 
-func TestRunRoundParallelFilteredChurn(t *testing.T) {
-	// RunRoundFiltered-style churn on the parallel path: the dead set
-	// changes every round; dead nodes never appear in dates, capacities
-	// hold, and accounting only counts delivered requests.
+func TestSeededRoundChurn(t *testing.T) {
+	// Churn on the parallel path: the dead set changes every round; dead
+	// nodes never appear in dates, capacities hold, and accounting only
+	// counts delivered requests.
 	const n = 500
 	sv := parallelService(t, n, 2)
-	streams := rng.NewStreams(7, 3)
 	churn := rng.New(8)
 	alive := make([]bool, n)
 	for round := 0; round < 15; round++ {
@@ -110,7 +115,7 @@ func TestRunRoundParallelFilteredChurn(t *testing.T) {
 				liveOut += sv.profile.Out[i]
 			}
 		}
-		res, err := sv.RunRoundParallelFiltered(streams, 3, func(i int) bool { return alive[i] })
+		res, err := sv.RunRoundSeeded(uint64(7+round), 3, func(i int) bool { return alive[i] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,10 +133,10 @@ func TestRunRoundParallelFilteredChurn(t *testing.T) {
 	}
 }
 
-func TestRunRoundParallelMatchesSerialFraction(t *testing.T) {
-	// Statistical equivalence at n = 10k: the parallel engine must arrange
-	// the same fraction of the centralized optimum as the serial path,
-	// within 1% relative tolerance (the acceptance criterion).
+func TestSeededRoundMatchesSerialFraction(t *testing.T) {
+	// Statistical equivalence at n = 10k: the seeded rounds must arrange
+	// the same fraction of the centralized optimum as the caller-stream
+	// path, within 1% relative tolerance.
 	const n, rounds = 10000, 40
 	serial := parallelService(t, n, 1)
 	s := rng.New(200)
@@ -140,26 +145,24 @@ func TestRunRoundParallelMatchesSerialFraction(t *testing.T) {
 		serialAcc.Add(serial.RunRound(s).Fraction(n))
 	}
 
-	for _, workers := range []int{2, 4} {
-		par := parallelService(t, n, 1)
-		streams := rng.NewStreams(201, workers)
-		var parAcc stats.Accumulator
-		for r := 0; r < rounds; r++ {
-			res, err := par.RunRoundParallel(streams, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parAcc.Add(res.Fraction(n))
+	seeded := parallelService(t, n, 1)
+	seeds := rng.New(201)
+	var seededAcc stats.Accumulator
+	for r := 0; r < rounds; r++ {
+		res, err := seeded.RunRoundSeeded(seeds.Uint64(), 2, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rel := math.Abs(parAcc.Mean()-serialAcc.Mean()) / serialAcc.Mean()
-		if rel > 0.01 {
-			t.Fatalf("workers=%d: parallel fraction %.5f vs serial %.5f (relative gap %.4f > 1%%)",
-				workers, parAcc.Mean(), serialAcc.Mean(), rel)
-		}
+		seededAcc.Add(res.Fraction(n))
+	}
+	rel := math.Abs(seededAcc.Mean()-serialAcc.Mean()) / serialAcc.Mean()
+	if rel > 0.01 {
+		t.Fatalf("seeded fraction %.5f vs serial %.5f (relative gap %.4f > 1%%)",
+			seededAcc.Mean(), serialAcc.Mean(), rel)
 	}
 }
 
-func TestRunRoundParallelControlMessageCounts(t *testing.T) {
+func TestSeededRoundControlMessageCounts(t *testing.T) {
 	// With everyone alive, every request is delivered: OffersSent == Bout
 	// and RequestsSent == Bin, exactly, on every worker count.
 	s := rng.New(300)
@@ -170,8 +173,7 @@ func TestRunRoundParallelControlMessageCounts(t *testing.T) {
 	sel, _ := NewUniformSelector(p.N())
 	sv := mustService(t, p, sel)
 	for _, workers := range []int{1, 2, 5} {
-		streams := rng.NewStreams(301, workers)
-		res, err := sv.RunRoundParallel(streams, workers)
+		res, err := sv.RunRoundSeeded(301, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,28 +191,25 @@ func TestServiceMixedSerialParallelReuse(t *testing.T) {
 	const n = 250
 	sv := parallelService(t, n, 2)
 	s := rng.New(400)
-	streams := rng.NewStreams(401, 4)
 	dead := func(i int) bool { return i%10 != 0 }
 	for round := 0; round < 30; round++ {
 		var res RoundResult
 		var err error
-		switch round % 4 {
+		switch round % 3 {
 		case 0:
 			res = sv.RunRound(s)
 		case 1:
-			res, err = sv.RunRoundParallel(streams, 4)
+			res, err = sv.RunRoundSeeded(uint64(round), 4, nil)
 		case 2:
-			res = sv.RunRoundFiltered(s, dead)
-		case 3:
-			res, err = sv.RunRoundParallelFiltered(streams, 2, dead)
+			res, err = sv.RunRoundSeeded(uint64(round), 2, dead)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := ValidateCapacities(res, sv.Profile()); err != nil {
-			t.Fatalf("round %d (shape %d): %v", round, round%4, err)
+			t.Fatalf("round %d (shape %d): %v", round, round%3, err)
 		}
-		if round%4 == 0 || round%4 == 1 {
+		if round%3 != 2 {
 			if res.OffersSent != sv.Profile().TotalOut() {
 				t.Fatalf("round %d: OffersSent %d, want %d — scratch leaked across rounds",
 					round, res.OffersSent, sv.Profile().TotalOut())
@@ -290,7 +289,7 @@ func TestWorkerScratchOwnCacheLine(t *testing.T) {
 		t.Fatalf("adjacent workers' hot fields %d B apart, want >= %d", gap, par.CacheLine)
 	}
 
-	// The seeded Service round and the Arranger keep exactly this scratch,
+	// The Service and the Arranger keep exactly this scratch,
 	// and growing it (append may move it) must leave every worker's stream
 	// drawing from its own generator.
 	sv := parallelService(t, 1000, 2)
@@ -300,14 +299,14 @@ func TestWorkerScratchOwnCacheLine(t *testing.T) {
 	}
 	out, in := sv.profile.Out, sv.profile.In
 	for _, workers := range []int{1, 3, 8} {
-		if _, err := sv.RunRoundSeeded(5, workers); err != nil {
+		if _, err := sv.RunRoundSeeded(5, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.Arrange(out, in, 5, workers); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for name, scratch := range map[string][]workerScratch{"service": sv.eng.ws, "arranger": a.ws} {
+	for name, scratch := range map[string][]workerScratch{"service": sv.ws, "arranger": a.ws} {
 		for w := range scratch {
 			scratch[w].gen.Seed(uint64(w))
 			if got, want := scratch[w].stream.Uint64(), rng.NewXoshiro256(uint64(w)).Uint64(); got != want {

@@ -1,11 +1,12 @@
 package core
 
-// Golden pins for the radix-partitioned engine: the FNV-1a hashes below
-// were produced by the pre-radix engine (per-worker length-n count arrays,
-// commit 35adb4e) on the exact configurations replayed here. They freeze
-// the engine's output bit-for-bit — Date order included — at every worker
-// count, so any rewrite of the scatter/exchange/sort pipeline that changes
-// a single bucket's layout fails loudly.
+// Golden pins for the round engine. The caller-stream hashes below were
+// produced by the pre-radix engine (per-worker length-n count arrays,
+// commit 35adb4e); the seeded hashes by the separate seeded round body
+// that preceded the shared one (commit a96ea15). They freeze the engine's
+// output bit-for-bit — Date order included — at every worker count, so any
+// rewrite of the scatter/exchange/sort pipeline that changes a single
+// bucket's layout fails loudly.
 
 import (
 	"encoding/binary"
@@ -59,15 +60,10 @@ func TestEngineGoldenSerial(t *testing.T) {
 }
 
 func TestEngineGoldenParallel(t *testing.T) {
-	// Three worker-stream rounds at each of workers {1, 2, 4, 8}: the
-	// parallel path's output depends on (seed, workers) by design, so every
-	// worker count is pinned separately.
-	want := map[int][]uint64{
-		1: {0xdf560a1ee17fbc10, 0xd49327b9c7ba8250, 0xf9110a9c8568b5be},
-		2: {0xd982ed2b95752d3, 0x46df575c72615b5d, 0x1af4e9055e6f0855},
-		4: {0xd6de7596887085a8, 0x1821e36f06b2f91e, 0xaf492d406bed3b06},
-		8: {0x8113d536ba2c38aa, 0xbe8784a464f1c658, 0xea9388ddbfe54ee9},
-	}
+	// Three seeded rounds (seeds drawn off rng.New(12345)) at each of
+	// workers {1, 2, 4, 8} on the serial config: the seeded path is
+	// worker-count independent, so one pin list covers every count.
+	want := []uint64{0xf744811d34e7ad5a, 0xd68b7f6bafd0e671, 0x7098f653814f0192}
 	const n, seed = 1000, 12345
 	sel, err := NewUniformSelector(n)
 	if err != nil {
@@ -75,14 +71,14 @@ func TestEngineGoldenParallel(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		svc := mustService(t, bandwidth.Homogeneous(n, 2), sel)
-		streams := rng.NewStreams(seed, workers)
-		for r, w := range want[workers] {
-			res, err := svc.RunRoundParallel(streams, workers)
+		seeds := rng.New(seed)
+		for r, w := range want {
+			res, err := svc.RunRoundSeeded(seeds.Uint64(), workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := hashRound(res); got != w {
-				t.Fatalf("workers=%d round %d: hash %#x, want %#x (pre-radix engine output changed)",
+				t.Fatalf("workers=%d round %d: hash %#x, want %#x (seeded engine output changed)",
 					workers, r, got, w)
 			}
 		}
@@ -90,8 +86,8 @@ func TestEngineGoldenParallel(t *testing.T) {
 }
 
 func TestEngineGoldenFiltered(t *testing.T) {
-	// One filtered round (every fifth node dead) at workers 1 and 4.
-	want := map[int]uint64{1: 0x840c66fe7df68179, 4: 0x946b48af6e94507c}
+	// One seeded round with every fifth node dead, at workers 1 and 4.
+	const want uint64 = 0xfd1b9b440bd26aa1
 	const n, seed = 1000, 12346
 	sel, err := NewUniformSelector(n)
 	if err != nil {
@@ -100,28 +96,23 @@ func TestEngineGoldenFiltered(t *testing.T) {
 	alive := func(i int) bool { return i%5 != 0 }
 	for _, workers := range []int{1, 4} {
 		svc := mustService(t, bandwidth.Homogeneous(n, 2), sel)
-		streams := rng.NewStreams(seed, workers)
-		res, err := svc.RunRoundParallelFiltered(streams, workers, alive)
+		res, err := svc.RunRoundSeeded(seed, workers, alive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hashRound(res); got != want[workers] {
-			t.Fatalf("filtered workers=%d: hash %#x, want %#x (pre-radix engine output changed)",
-				workers, got, want[workers])
+		if got := hashRound(res); got != want {
+			t.Fatalf("filtered workers=%d: hash %#x, want %#x (seeded engine output changed)",
+				workers, got, want)
 		}
 	}
 }
 
 func TestEngineGoldenSkewed(t *testing.T) {
-	// A Zipf profile under a weighted selector at workers {1, 2, 4, 8}:
-	// skewed sender shards and non-uniform destination load exercise the
-	// radix exchange's unbalanced chunks.
-	want := map[int]uint64{
-		1: 0x5f01256cc85857e2,
-		2: 0xdfcbdbf499ac1b1f,
-		4: 0x4adb5e9996aa5629,
-		8: 0xe53ae3872081a326,
-	}
+	// A Zipf profile under a weighted selector: skewed sender shards and
+	// non-uniform destination load exercise the radix exchange's unbalanced
+	// chunks. The caller-stream round is pinned to the pre-radix engine's
+	// output; the seeded round at workers {1, 2, 4, 8} to one hash.
+	const wantSerial, wantSeeded uint64 = 0x5f01256cc85857e2, 0x35493ce71014a916
 	s := rng.New(7)
 	p, err := bandwidth.Zipf(700, 1.1, 8, 2, s)
 	if err != nil {
@@ -135,16 +126,17 @@ func TestEngineGoldenSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := hashRound(mustService(t, p, sel).RunRound(rng.NewStreams(12347, 1)[0])); got != wantSerial {
+		t.Fatalf("zipf serial: hash %#x, want %#x (pre-radix engine output changed)", got, wantSerial)
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		svc := mustService(t, p, sel)
-		streams := rng.NewStreams(12347, workers)
-		res, err := svc.RunRoundParallel(streams, workers)
+		res, err := mustService(t, p, sel).RunRoundSeeded(12347, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hashRound(res); got != want[workers] {
-			t.Fatalf("zipf workers=%d: hash %#x, want %#x (pre-radix engine output changed)",
-				workers, got, want[workers])
+		if got := hashRound(res); got != wantSeeded {
+			t.Fatalf("zipf seeded workers=%d: hash %#x, want %#x (seeded engine output changed)",
+				workers, got, wantSeeded)
 		}
 	}
 }

@@ -1,49 +1,36 @@
 package core
 
-// This file implements the seeded round path: Algorithm 1 on the flat
-// engine of engine.go, with the Arranger's worker-count-independent
-// randomness scheme ported to the profile round path.
-//
-// Where RunRoundParallel draws from one stream per worker — making its
-// output a function of (seed, workers) — a seeded round derives a
-// short-lived stream per *unit of work*: rng.Derive(seed, domainScatter,
-// node) for a node's request scatter and rng.Derive(seed, domainMatch,
-// rendezvous) for a rendezvous's matching, the exact scheme of
-// Arranger.Arrange (same domain tags, same derivation). Whichever worker
-// happens to process a node or bucket therefore draws the same values, and
-// the round is a pure function of (profile, selector, seed, alive):
-// workers is a pure speed knob. In particular, an unfiltered seeded round
-// arranges exactly the dates of Arranger.Arrange(profile.Out, profile.In,
-// seed, ·) — the test suite pins that equivalence.
+// This file holds the Service's seeded round entry points: Algorithm 1 on
+// the round body of engine.go with no caller stream, so every node's
+// scatter and every rendezvous's match draws from a stream derived from
+// the round seed — the Arranger's scheme (same domain tags, same
+// derivation). Whichever worker happens to process a node or bucket
+// therefore draws the same values, and the round is a pure function of
+// (profile, selector, seed, alive): workers is a pure speed knob. In
+// particular, an unfiltered seeded round arranges exactly the dates of
+// Arranger.Arrange(profile.Out, profile.In, seed, ·) — the test suite pins
+// that equivalence.
 //
 // The price is reseeding a xoshiro generator once per participating node
 // and once per non-empty rendezvous bucket: a two-step Derive chain plus a
 // four-step SplitMix64 state expansion each, roughly six extra SplitMix64
-// steps per node per round in total. Measured cost: about 25% on a
-// unit-bandwidth uniform round at n=100k with one worker (12.3ms vs 8.0ms
-// serial-stream); BenchmarkSeededRound tracks it.
+// steps per node per round in total. BenchmarkSeededRound tracks the cost
+// against the caller-stream RunRound.
 
 import (
-	"fmt"
-
 	"repro/internal/par"
 	"repro/internal/rng"
 )
 
-// RunRoundShared is RunRoundSeeded drawing its worker count from a shared
-// budget: the round runs with the caller's worker plus whatever spare
-// tokens b has at this moment, released when the round is done. Since the
-// seeded path is worker-count independent, whatever the pool hands out is
-// a pure speed knob. A nil budget runs serially.
-func (sv *Service) RunRoundShared(seed uint64, b *par.Budget) (RoundResult, error) {
-	return sv.RunRoundSharedFiltered(seed, b, nil)
-}
-
-// RunRoundSharedFiltered is RunRoundShared with the liveness predicate of
-// RunRoundSeededFiltered.
-func (sv *Service) RunRoundSharedFiltered(seed uint64, b *par.Budget, alive func(i int) bool) (res RoundResult, err error) {
+// RunRoundShared is RunRoundSeeded with every node alive, drawing its
+// worker count from a shared budget: the round runs with the caller's
+// worker plus whatever spare tokens b has at this moment, released when
+// the round is done. Since the seeded path is worker-count independent,
+// whatever the pool hands out is a pure speed knob. A nil budget runs
+// serially.
+func (sv *Service) RunRoundShared(seed uint64, b *par.Budget) (res RoundResult, err error) {
 	b.Use(0, func(workers int) {
-		res, err = sv.RunRoundSeededFiltered(seed, workers, alive)
+		res, err = sv.RunRoundSeeded(seed, workers, nil)
 	})
 	return res, err
 }
@@ -54,126 +41,67 @@ func (sv *Service) RunRoundSharedFiltered(seed uint64, b *par.Budget, alive func
 // selects the round's randomness (use a fresh seed per round, e.g. drawn
 // off a run stream). The Service's scratch is reused, so a Service still
 // runs one round at a time.
-func (sv *Service) RunRoundSeeded(seed uint64, workers int) (RoundResult, error) {
-	return sv.RunRoundSeededFiltered(seed, workers, nil)
+//
+// A non-nil alive is a liveness predicate: crashed nodes neither emit
+// requests nor act as rendezvous points, and requests addressed to them
+// are lost — matching a real overlay where a dead rendezvous simply never
+// answers. alive is called concurrently from all workers and must be safe
+// for concurrent use (in practice: a pure read of state that does not
+// change during the round). Because every node draws from its own derived
+// stream, the surviving nodes' randomness is unaffected by who crashed —
+// and still independent of the worker count.
+func (sv *Service) RunRoundSeeded(seed uint64, workers int, alive func(i int) bool) (RoundResult, error) {
+	if err := prepare(sv.sel, workers); err != nil {
+		return RoundResult{}, err
+	}
+	return sv.runRound(sv.senderShards(workers, alive), alive, seed, nil, workers), nil
 }
 
-// RunRoundSeededFiltered is RunRoundSeeded with the liveness predicate of
-// RunRoundFiltered. alive is called concurrently from all workers and must
-// be safe for concurrent use. Dead nodes neither scatter nor match, and
-// requests addressed to them are lost; because every node draws from its
-// own derived stream, the surviving nodes' randomness is unaffected by who
-// crashed — and still independent of the worker count.
-func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i int) bool) (RoundResult, error) {
-	if workers < 1 {
-		return RoundResult{}, fmt.Errorf("core: seeded round needs workers >= 1, got %d", workers)
-	}
-	if p, ok := sv.sel.(Preparer); ok {
-		if err := p.Prepare(); err != nil {
-			return RoundResult{}, fmt.Errorf("core: selector prepare failed: %w", err)
-		}
-	}
-
+// runRound runs the shared round body over the Service's profile and builds
+// the RoundResult: the merged dates, the per-node counters rebuilt from
+// them and the control-message counts.
+func (sv *Service) runRound(cut []int, alive func(i int) bool, seed uint64, s *rng.Stream, workers int) RoundResult {
+	sv.round(sv.sel, sv.profile.Out, sv.profile.In, cut, alive, seed, s, workers)
 	n := sv.profile.N()
-	eng := &sv.eng
-	eng.ensure(n, workers)
-	scratch := func(w int) *workerScratch { return &eng.ws[w] }
-	cut := eng.senderShards(n, workers, alive)
-
-	// Scatter: worker w draws destinations for its sender shard, reseeding
-	// its generator once per live node and recording each pair into the
-	// chunk of the destination's owner. The shard cuts only affect which
-	// worker does the work, never the draws.
-	runPhase(workers, func(w int) {
-		eng.ws[w].reset()
-		eng.offers.ClearWorker(w)
-		eng.reqs.ClearWorker(w)
-		eng.scatterSeeded(sv, w, cut, seed, alive, &eng.offers, &eng.reqs)
-	})
-
-	// Exchange + sort: identical to the worker-stream path.
-	eng.sortRound(n, workers)
-
-	// Match: one derived stream per rendezvous bucket. Buckets with either
-	// side empty arrange nothing and consume no randomness, so they are
-	// skipped without reseeding — exactly as in Arranger.Arrange.
-	eng.rdvCut = balancedCuts(eng.rdvCut, n, workers, func(v int) int {
-		return int(eng.offerOff[v+1]-eng.offerOff[v]) + int(eng.reqOff[v+1]-eng.reqOff[v])
-	})
-	runPhase(workers, func(w int) {
-		eng.ws[w].dates = eng.ws[w].dates[:0]
-		eng.matchSeeded(w, seed)
-	})
-
-	return mergeRound(n, workers, scratch), nil
+	res := RoundResult{
+		PerNodeOut: make([]int, n),
+		PerNodeIn:  make([]int, n),
+	}
+	res.Dates = sv.dates(workers)
+	for _, d := range res.Dates {
+		res.PerNodeOut[d.Sender]++
+		res.PerNodeIn[d.Receiver]++
+	}
+	for w := 0; w < workers; w++ {
+		res.OffersSent += sv.ws[w].offersSent
+		res.RequestsSent += sv.ws[w].requestsSent
+	}
+	return res
 }
 
-// scatterSeeded runs worker w's share of a seeded scatter pass over the
-// sender shard cut[w]..cut[w+1], recording into the given exchange pair
-// (the pipelined path points it at the back buffers). The caller resets the
-// counters and clears the exchange rows; this only appends.
-func (eng *engineScratch) scatterSeeded(sv *Service, w int, cut []int, seed uint64, alive func(i int) bool, offers, reqs *exchInt32) {
-	ws := &eng.ws[w]
-	out, in := sv.profile.Out, sv.profile.In
-	s := &ws.stream
-	for i := cut[w]; i < cut[w+1]; i++ {
-		if alive != nil && !alive(i) {
-			continue
-		}
-		ws.gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
-		for k := 0; k < out[i]; k++ {
-			dest := sv.sel.Pick(s)
-			if alive != nil && !alive(dest) {
-				continue // lost: rendezvous is down
-			}
-			offers.Record(w, int32(dest), int32(i))
-			ws.offersSent++
-		}
-		for k := 0; k < in[i]; k++ {
-			dest := sv.sel.Pick(s)
-			if alive != nil && !alive(dest) {
-				continue
-			}
-			reqs.Record(w, int32(dest), int32(i))
-			ws.requestsSent++
-		}
-	}
-}
-
-// matchSeeded runs worker w's share of a seeded match pass over the sorted
-// front buffers, appending to the worker's date buffer.
-func (eng *engineScratch) matchSeeded(w int, seed uint64) {
-	ws := &eng.ws[w]
-	emit := func(sender, receiver int32) {
-		ws.dates = append(ws.dates, Date{Sender: int(sender), Receiver: int(receiver)})
-	}
-	for v := eng.rdvCut[w]; v < eng.rdvCut[w+1]; v++ {
-		offers := eng.offersFlat[eng.offerOff[v]:eng.offerOff[v+1]]
-		requests := eng.reqFlat[eng.reqOff[v]:eng.reqOff[v+1]]
-		if len(offers) == 0 || len(requests) == 0 {
-			continue
-		}
-		ws.gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
-		MatchRendezvous(offers, requests, &ws.stream, emit)
-	}
-}
-
-// senderShards returns the sender cuts of a seeded round. Unfiltered rounds
-// use the static profile-weight cuts of ensure. Under churn the static cuts
-// skew — when crashes concentrate in one id region its workers idle while
-// the rest carry the round — so filtered rounds rebalance by *live* weight:
-// a dead node weighs zero. Rebalancing only moves work between workers; the
-// seeded randomness scheme makes the result independent of the cuts, so the
-// output is unchanged (the churn tests pin this bit-for-bit).
-func (eng *engineScratch) senderShards(n, workers int, alive func(i int) bool) []int {
+// senderShards returns the sender cuts of a round, balanced by per-node
+// request weight bout(i)+bin(i) so skewed profiles still split evenly.
+// Unfiltered rounds reuse static cuts, recomputed only when the worker
+// count changes. Under churn the static cuts skew — when crashes
+// concentrate in one id region its workers idle while the rest carry the
+// round — so filtered rounds rebalance by *live* weight: a dead node weighs
+// zero. Rebalancing only moves work between workers; the seeded randomness
+// scheme makes the result independent of the cuts, so the output is
+// unchanged (the churn tests pin this bit-for-bit).
+func (sv *Service) senderShards(workers int, alive func(i int) bool) []int {
+	n, out, in := sv.profile.N(), sv.profile.Out, sv.profile.In
 	if alive == nil {
-		return eng.senderCut
+		if sv.cutWorkers != workers {
+			sv.staticCut = balancedCuts(sv.staticCut, n, workers, func(i int) int { return out[i] + in[i] })
+			sv.cutWorkers = workers
+		}
+		return sv.staticCut
 	}
-	eng.liveCut = balancedCuts(eng.liveCut, n, workers, func(i int) int {
+	sv.senderCut = balancedCuts(sv.senderCut, n, workers, func(i int) int {
 		if !alive(i) {
 			return 0
 		}
-		return eng.weight(i)
+		return out[i] + in[i]
 	})
-	return eng.liveCut
+	return sv.senderCut
 }

@@ -26,7 +26,7 @@ func TestSeededRoundWorkerIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := svc.RunRoundSeeded(seed, workers)
+			res, err := svc.RunRoundSeeded(seed, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,23 +49,23 @@ func TestSeededRoundWorkerIndependence(t *testing.T) {
 }
 
 func TestSeededRoundScratchReuse(t *testing.T) {
-	// Reusing one Service across seeded, worker-stream and serial rounds
-	// must not leak state between the paths.
+	// Reusing one Service across seeded, filtered and serial rounds must not
+	// leak state between the round shapes.
 	profile := bandwidth.Homogeneous(800, 2)
 	sel, _ := NewUniformSelector(800)
 	svc, err := NewService(profile, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := svc.RunRoundSeeded(7, 2)
+	first, err := svc.RunRoundSeeded(7, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.RunRound(rng.New(99))
-	if _, err := svc.RunRoundParallel(rng.NewStreams(5, 3), 3); err != nil {
+	if _, err := svc.RunRoundSeeded(5, 3, func(i int) bool { return i%3 != 0 }); err != nil {
 		t.Fatal(err)
 	}
-	again, err := svc.RunRoundSeeded(7, 2)
+	again, err := svc.RunRoundSeeded(7, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSeededRoundMatchesArranger(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seed = 1234
-	res, err := svc.RunRoundSeeded(seed, 4)
+	res, err := svc.RunRoundSeeded(seed, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSeededRoundFilteredWorkerIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := svc.RunRoundSeededFiltered(99, workers, alive)
+		res, err := svc.RunRoundSeeded(99, workers, alive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestSeededRoundValidation(t *testing.T) {
 	profile := bandwidth.Homogeneous(10, 1)
 	sel, _ := NewUniformSelector(10)
 	svc, _ := NewService(profile, sel)
-	if _, err := svc.RunRoundSeeded(1, 0); err == nil {
+	if _, err := svc.RunRoundSeeded(1, 0, nil); err == nil {
 		t.Error("accepted workers = 0")
 	}
 }
@@ -162,7 +162,7 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 4
-	res, err := svc.RunRoundSeededFiltered(31, workers, alive)
+	res, err := svc.RunRoundSeeded(31, workers, alive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 	// The live cuts were rebuilt for this round: no shard may hold more
 	// than its fair share of the surviving nodes (plus one boundary node).
 	// Copy: the slice is reused by later rounds' balancedCuts calls.
-	cut := append([]int(nil), svc.eng.liveCut...)
+	cut := append([]int(nil), svc.senderCut...)
 	if len(cut) != workers+1 {
 		t.Fatalf("live cuts not computed: %v", cut)
 	}
@@ -202,7 +202,7 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 	}
 
 	// Rebalancing moves work, never bits.
-	ref, err := svc.RunRoundSeededFiltered(31, 1, alive)
+	ref, err := svc.RunRoundSeeded(31, 1, alive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 }
 
 // BenchmarkSeededRound quantifies the derivation overhead of the
-// worker-count-independent round against the worker-stream and serial
-// paths at n=100k (the cost quoted in doc.go).
+// worker-count-independent round against the caller-stream round at
+// n=100k.
 func BenchmarkSeededRound(b *testing.B) {
 	const n = 100_000
 	profile := bandwidth.Homogeneous(n, 1)
@@ -225,19 +225,10 @@ func BenchmarkSeededRound(b *testing.B) {
 			svc.RunRound(s)
 		}
 	})
-	b.Run("worker-stream-1", func(b *testing.B) {
-		svc, _ := NewService(profile, sel)
-		streams := rng.NewStreams(1, 1)
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.RunRoundParallel(streams, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("seeded-1", func(b *testing.B) {
 		svc, _ := NewService(profile, sel)
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.RunRoundSeeded(uint64(i), 1); err != nil {
+			if _, err := svc.RunRoundSeeded(uint64(i), 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -25,10 +25,7 @@
 //
 // Scratch is O(n + records) regardless of the worker count: the owners'
 // count arrays partition [0, n) and the chunks together hold exactly the
-// round's records. Exchanges are double-bufferable: Swap exchanges the
-// chunk storage of two Exchanges in O(1), which is how pipelined round
-// execution records round r+1's requests while round r's are still being
-// matched.
+// round's records.
 //
 // Concurrency contract: Reset and Prefix are serial; ClearWorker, Record
 // and RecordTo may run concurrently for distinct w; Fill and SetBase/Flush
@@ -83,9 +80,6 @@ type Exchange[T any] struct {
 	base    []int32    // per-owner base offsets, set by Prefix
 	counts  [][]int32  // per-owner count scratch over that owner's range
 }
-
-// Part returns the exchange's current destination partition.
-func (ex *Exchange[T]) Part() Partition { return ex.part }
 
 // Owner returns the owner of destination d under the current partition.
 func (ex *Exchange[T]) Owner(d int) int { return ex.part.Owner(d) }
@@ -184,9 +178,9 @@ func (ex *Exchange[T]) Base(o int) int32 { return ex.base[o] }
 // must have length >= part.N+1; entries outside o's range are left for
 // their owners, and off[N] for the serial epilogue (use the Prefix total).
 // Fill returns this owner's end offset — equal to the next owner's base —
-// so fused consumers can bound their last bucket without reading an offset
-// another owner is writing concurrently. Call only after Prefix, once per
-// owner per round, concurrently for distinct owners.
+// so a consumer can walk the owner's records [Base(o), end) without
+// reading an offset another owner is writing concurrently. Call only after
+// Prefix, once per owner per round, concurrently for distinct owners.
 func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 	lo, hi := ex.part.Range(o)
 	counts := ex.counts[o]
@@ -243,11 +237,4 @@ func (ex *Exchange[T]) Flush(w, o int, dst []T) {
 	}
 	copy(dst[c.off:], c.vals)
 	c.vals = c.vals[:0]
-}
-
-// Swap exchanges the chunk storage (and scratch) of two Exchanges in O(1) —
-// the ping-pong operation of pipelined rounds: while one buffer's round is
-// being filled and matched, workers record the next round into the other.
-func (ex *Exchange[T]) Swap(other *Exchange[T]) {
-	*ex, *other = *other, *ex
 }

@@ -21,9 +21,9 @@ import (
 // Every round runs on the seeded engine: the per-round seed is one draw
 // off the run stream, and the seeded path derives its randomness per node
 // and per rendezvous, so the spreading run is bit-identical for every
-// budget size — the worker count is a pure speed knob. When b is non-nil
-// the round grabs the caller's worker plus whatever spare tokens the
-// shared budget has that round; a nil budget runs serially.
+// budget size — the worker count is a pure speed knob. The round grabs
+// the caller's worker plus whatever spare tokens b has that round; a nil
+// budget runs serially.
 func datingStep(svc *core.Service, b *par.Budget) stepFunc {
 	return func(st *state, s *rng.Stream) {
 		var alive func(i int) bool
@@ -37,11 +37,7 @@ func datingStep(svc *core.Service, b *par.Budget) stepFunc {
 		seed := s.Uint64()
 		var res core.RoundResult
 		var err error
-		if b != nil {
-			res, err = svc.RunRoundSharedFiltered(seed, b, alive)
-		} else {
-			res, err = svc.RunRoundSeededFiltered(seed, 1, alive)
-		}
+		b.Use(0, func(workers int) { res, err = svc.RunRoundSeeded(seed, workers, alive) })
 		if err != nil {
 			// Run validated the configuration; a failure here is a
 			// programming error, not a runtime condition.

@@ -39,10 +39,9 @@ type LiveConfig struct {
 }
 
 // LiveOptions carries the axes of a live run that are orthogonal to the
-// protocol: the seed, the execution substrate, its worker count, the
-// network model and the pipelining depth. Under repro.Run these come from
-// the run options; RunLive takes them explicitly so direct callers state
-// the same separation.
+// protocol: the seed, the execution substrate, its worker count and the
+// network model. Under repro.Run these come from the run options; RunLive
+// takes them explicitly so direct callers state the same separation.
 type LiveOptions struct {
 	Seed uint64
 	// Engine picks the substrate; the zero value is the goroutine engine.
@@ -62,11 +61,6 @@ type LiveOptions struct {
 	// engine; nil is the paper's perfect-sync model. The goroutine engine
 	// rejects non-nil models.
 	Net live.NetModel
-	// Pipeline > 1 runs the sharded engine's fused round loop
-	// (live.Runtime.RunPipelined), which folds the delivery sort of each
-	// network round into the step phase. Bit-identical to the sequential
-	// schedule; ignored by the goroutine engine.
-	Pipeline int
 	// Obs, when non-nil, receives phase spans and per-round gauges from the
 	// sharded engine. Observers are read-only: attaching one never changes
 	// results. Ignored by the goroutine engine.
@@ -182,11 +176,7 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 		if err != nil {
 			return LiveResult{}, err
 		}
-		if o.Pipeline > 1 {
-			run = rt.RunPipelined
-		} else {
-			run = rt.Run
-		}
+		run = rt.Run
 	default:
 		return LiveResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
 	}

@@ -68,38 +68,36 @@ func TestAsyncObserverIdentity(t *testing.T) {
 
 func TestDatingObserverIdentity(t *testing.T) {
 	cfg := Config{Algorithm: Dating, N: 1024}
-	for _, pipeline := range []int{0, 4} {
-		b, err := par.NewBudget(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := runBudgeted(cfg, rng.New(11), b, pipeline, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := obs.NewObserver()
-		b2, _ := par.NewBudget(4)
-		traced, err := runBudgeted(cfg, rng.New(11), b2, pipeline, o.Track("rumor", 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Fatalf("pipeline=%d: instrumented run differs:\nplain  %+v\ntraced %+v", pipeline, plain, traced)
-		}
-		m := o.Metrics()
-		if m == nil {
-			t.Fatal("observer recorded nothing")
-		}
-		assertPhases(t, m, "rumor", "round")
-		if !hasGauge(m, "budget_in_flight") || !hasGauge(m, "sent") {
-			t.Fatalf("pipeline=%d: dating gauges missing: %+v", pipeline, m.Gauges)
-		}
-		// One sent sample per round, and the samples sum to the traffic the
-		// result reports — the gauge mirrors the run, it does not resample it.
-		for _, g := range m.Gauges {
-			if g.Name == "sent" && g.Samples != plain.Rounds {
-				t.Fatalf("pipeline=%d: %d sent samples for %d rounds", pipeline, g.Samples, plain.Rounds)
-			}
+	b, err := par.NewBudget(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := runBudgeted(cfg, rng.New(11), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver()
+	b2, _ := par.NewBudget(4)
+	traced, err := runBudgeted(cfg, rng.New(11), b2, o.Track("rumor", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Fatalf("instrumented run differs:\nplain  %+v\ntraced %+v", plain, traced)
+	}
+	m := o.Metrics()
+	if m == nil {
+		t.Fatal("observer recorded nothing")
+	}
+	assertPhases(t, m, "rumor", "round")
+	if !hasGauge(m, "budget_in_flight") || !hasGauge(m, "sent") {
+		t.Fatalf("dating gauges missing: %+v", m.Gauges)
+	}
+	// One sent sample per round, and the samples sum to the traffic the
+	// result reports — the gauge mirrors the run, it does not resample it.
+	for _, g := range m.Gauges {
+		if g.Name == "sent" && g.Samples != plain.Rounds {
+			t.Fatalf("%d sent samples for %d rounds", g.Samples, plain.Rounds)
 		}
 	}
 }

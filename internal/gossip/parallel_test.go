@@ -8,9 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// runWith executes a spreading run with a worker budget of the given size
-// and a pipelining depth, the two knobs runBudgeted exposes above Run.
-func runWith(t *testing.T, cfg Config, seed uint64, workers, pipeline int) Result {
+// runWith executes a spreading run with a worker budget of the given size,
+// the knob runBudgeted exposes above Run.
+func runWith(t *testing.T, cfg Config, seed uint64, workers int) Result {
 	t.Helper()
 	var b *par.Budget
 	if workers > 1 {
@@ -20,7 +20,7 @@ func runWith(t *testing.T, cfg Config, seed uint64, workers, pipeline int) Resul
 			t.Fatal(err)
 		}
 	}
-	res, err := runBudgeted(cfg, rng.New(seed), b, pipeline, nil)
+	res, err := runBudgeted(cfg, rng.New(seed), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDatingParallelWorkers(t *testing.T) {
 	// never exceeds unit bandwidth, and is reproducible for a fixed seed
 	// whatever the budget size.
 	run := func() Result {
-		return runWith(t, Config{Algorithm: Dating, N: 2048}, 42, 4, 0)
+		return runWith(t, Config{Algorithm: Dating, N: 2048}, 42, 4)
 	}
 	a := run()
 	if !a.Completed {
@@ -50,7 +50,7 @@ func TestDatingParallelWorkers(t *testing.T) {
 }
 
 func TestDatingParallelWithChurn(t *testing.T) {
-	res := runWith(t, Config{Algorithm: Dating, N: 800, CrashProb: 0.01}, 7, 3, 0)
+	res := runWith(t, Config{Algorithm: Dating, N: 800, CrashProb: 0.01}, 7, 3)
 	if !res.Completed {
 		t.Fatalf("incomplete after %d rounds (%d crashed)", res.Rounds, res.Crashed)
 	}
@@ -65,7 +65,7 @@ func TestDatingWorkersPureSpeedKnob(t *testing.T) {
 	// (crash sampling shares the run stream with the per-round seed draws).
 	for _, crash := range []float64{0, 0.01} {
 		run := func(workers int) Result {
-			return runWith(t, Config{Algorithm: Dating, N: 3000, CrashProb: crash}, 11, workers, 0)
+			return runWith(t, Config{Algorithm: Dating, N: 3000, CrashProb: crash}, 11, workers)
 		}
 		ref := run(1)
 		if !ref.Completed {
@@ -77,35 +77,5 @@ func TestDatingWorkersPureSpeedKnob(t *testing.T) {
 					crash, workers, got.Rounds, ref.Rounds)
 			}
 		}
-	}
-}
-
-func TestDatingPipelinedBitIdentity(t *testing.T) {
-	// Pipelining is a pure scheduling change: batching rounds through
-	// core.RunRoundsSeeded must reproduce the sequential run bit for bit at
-	// every depth and every budget size.
-	cfg := Config{Algorithm: Dating, N: 2500}
-	ref := runWith(t, cfg, 13, 1, 0)
-	if !ref.Completed {
-		t.Fatalf("incomplete after %d rounds", ref.Rounds)
-	}
-	for _, workers := range []int{1, 4} {
-		for _, depth := range []int{2, 3, 8} {
-			if got := runWith(t, cfg, 13, workers, depth); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("workers=%d depth=%d diverged from sequential (%d vs %d rounds, history %v vs %v)",
-					workers, depth, got.Rounds, ref.Rounds, got.History, ref.History)
-			}
-		}
-	}
-}
-
-func TestDatingPipelinedCrashFallsBack(t *testing.T) {
-	// Crashing runs cannot be pipelined (round r+1 must not scatter before
-	// round r's deaths are known); the depth must be silently ignored and
-	// the run stay identical to the sequential schedule.
-	cfg := Config{Algorithm: Dating, N: 600, CrashProb: 0.01}
-	ref := runWith(t, cfg, 17, 1, 0)
-	if got := runWith(t, cfg, 17, 1, 4); !reflect.DeepEqual(got, ref) {
-		t.Fatal("pipelining changed a crashing run")
 	}
 }

@@ -87,9 +87,6 @@ type TopologyOptions struct {
 	// Net plugs a network model into the sharded engine; nil is perfect
 	// sync. The goroutine engine rejects non-nil models.
 	Net live.NetModel
-	// Pipeline > 1 runs the sharded engine's fused round loop; bit-identical
-	// to the sequential schedule.
-	Pipeline int
 	// Obs, when non-nil, receives the runtime's phase spans plus the
 	// protocol's per-round spreader/stifler gauges on a "topology" track.
 	Obs *obs.Observer
@@ -223,7 +220,8 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 	if cfg.Source < 0 || cfg.Source >= n {
 		return TopologyResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	if cfg.Alpha < 0 || cfg.Alpha > 1 || cfg.Lambda < 0 || cfg.Lambda > 1 || cfg.Delta < 0 || cfg.Delta > 1 {
+	// Written as negated in-range tests so NaN rates are rejected too.
+	if !(cfg.Alpha >= 0 && cfg.Alpha <= 1 && cfg.Lambda >= 0 && cfg.Lambda <= 1 && cfg.Delta >= 0 && cfg.Delta <= 1) {
 		return TopologyResult{}, fmt.Errorf("gossip: topology rates must lie in [0,1], got alpha=%v lambda=%v delta=%v",
 			cfg.Alpha, cfg.Lambda, cfg.Delta)
 	}
@@ -286,11 +284,7 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 		if err != nil {
 			return TopologyResult{}, err
 		}
-		if o.Pipeline > 1 {
-			runRounds = rt.RunPipelined
-		} else {
-			runRounds = rt.Run
-		}
+		runRounds = rt.Run
 		if o.Net != nil {
 			maxDelay = o.Net.MaxDelay()
 		}
@@ -347,16 +341,15 @@ func (c TopologyConfig) Protocol() string { return "topology" }
 
 // Execute implements run.Spec: the runtime seed derives from the root seed
 // under DomainTopology, WithEngine picks the substrate (default: the sharded
-// runtime), WithWorkers sets the shard count, WithNet the network model and
-// WithPipeline the fused round loop — all pure speed knobs under perfect
+// runtime), WithWorkers sets the shard count and WithNet the network model
+// — the engine and the shard count are pure speed knobs under perfect
 // sync. Trajectory is the informed-peer history; Detail the full
 // TopologyResult (spreader/stifler split, final spread fraction).
 func (c TopologyConfig) Execute(o *run.Options) (run.Report, error) {
 	topts := TopologyOptions{
-		Seed:     run.SeedFor(o.Seed, run.DomainTopology),
-		Net:      o.Net,
-		Pipeline: o.Pipeline,
-		Obs:      o.Obs,
+		Seed: run.SeedFor(o.Seed, run.DomainTopology),
+		Net:  o.Net,
+		Obs:  o.Obs,
 	}
 	switch o.Engine {
 	case run.EngineGoroutine:

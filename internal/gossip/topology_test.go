@@ -44,11 +44,6 @@ func TestTopologyShardIdentity(t *testing.T) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
 	}
-	// Pipelining is a pure scheduling change too.
-	pl := topoTrajectory(t, cfg, TopologyOptions{Seed: 42, Engine: LiveSharded, Shards: 4, Pipeline: 4})
-	if fmt.Sprint(pl) != fmt.Sprint(base) {
-		t.Errorf("pipelined run diverged:\n got %+v\nwant %+v", pl, base)
-	}
 }
 
 // TestTopologyEngineIdentity pins that the goroutine engine (sequential and

@@ -28,19 +28,10 @@
 //	         chunks in parallel (same shard-order concatenation as the old
 //	         serial append pass); traffic counters are merged.
 //
-// RunPipelined removes one of the three barriers: because each owner's
-// destination range is exactly its own peer range, owner o can step its
-// peers the moment its Fill returns, without waiting for the other owners'
-// sorts — deliver's fill and the step phase fuse into one fanout (Fill
-// returns the owner's end offset precisely so the last peer's inbox can be
-// bounded without reading the offset a neighbouring owner is still
-// writing). Emission already overlaps stepping by construction, so a
-// pipelined round runs record → fill+step → route flush.
-//
 // # Determinism
 //
 // A run is a pure function of (n, seed, step, net model) — the shard count
-// and the pipelined flag are invisible. Three properties make that hold:
+// is invisible. Three properties make that hold:
 //
 //   - Peer randomness: peer i draws from a stream seeded
 //     rng.Derive(seed, peerDomain, i), stored as a flat xoshiro state array;
@@ -57,8 +48,7 @@
 //
 // The runtime is therefore bit-identical to a sequential run for any shard
 // count, and — under the Sync model, with identical per-peer streams — to
-// simnet.Live itself. The test suite pins both properties, and pins
-// RunPipelined against Run.
+// simnet.Live itself. The test suite pins both properties.
 package live
 
 import (
@@ -414,56 +404,22 @@ func (rt *Runtime) Run(rounds int) simnet.Stats {
 	return rt.stats
 }
 
-// RunPipelined is Run with the deliver sort and the step phase fused: each
-// owner steps its peers the moment its own range is sorted, instead of
-// waiting at a global barrier for every owner's sort — one fanout fewer
-// per round (see the package comment). Results are bit-for-bit identical
-// to Run; only the schedule changes. Run and RunPipelined may be freely
-// interleaved on one Runtime.
-func (rt *Runtime) RunPipelined(rounds int) simnet.Stats {
-	for r := 0; r < rounds; r++ {
-		if !rt.deliverRecord() {
-			// Empty round: nothing to sort, step from the zeroed offsets.
-			rt.stepAll()
-		} else {
-			// The fused fill+step is recorded as a step span: the pipelined
-			// schedule has no separate deliver phase to time.
-			rt.fanOutSpan(obs.PhaseStep, func(o int) {
-				end := rt.fillOwner(o)
-				sh := &rt.sh[o]
-				lo, hi := rt.part.Range(o)
-				for i := lo; i < hi; i++ {
-					stop := end
-					if i+1 < hi {
-						stop = rt.inOff[i+1]
-					}
-					sh.sender = i
-					sh.netSeeded = false
-					sh.src.node = i
-					rt.step(i, rt.round, rt.sorted[rt.inOff[i]:stop], sh.stream, sh.emit)
-				}
-			})
-			rt.deliverEpilogue()
-		}
-		rt.route()
-		rt.round++
-		rt.stats.Rounds++
-	}
-	return rt.stats
-}
-
 // Inbox returns the messages delivered to peer i in the round Run executed
 // last, for post-run inspection. Valid until the next Run call.
 func (rt *Runtime) Inbox(i int) []simnet.Message {
 	return rt.sorted[rt.inOff[i]:rt.inOff[i+1]]
 }
 
-// deliverRecord runs the record half of the delivery sort: shard w splits
-// its contiguous chunk of the due slot into per-owner (destination, index)
-// chunks, and the serial Prefix assigns owner base offsets. It reports
-// whether there is anything to sort; an empty slot zeroes the delivered
-// view so inboxes read empty.
-func (rt *Runtime) deliverRecord() bool {
+// deliver counting-sorts the slot due this round by destination on the
+// owner-range exchange: each shard splits its contiguous chunk of the slot
+// into per-owner (destination, index) chunks, the serial Prefix assigns
+// owner base offsets, and each owner Fills its peer range and gathers the
+// messages themselves. Within a bucket Fill's order is ascending slot
+// position — the canonical (send round, sender, emission index) order.
+// Delivery scratch is O(n + messages): the owners' count arrays partition
+// [0, n) instead of every shard holding a length-n array. An empty slot
+// zeroes the delivered view so inboxes read empty.
+func (rt *Runtime) deliver() {
 	slot := rt.round % (rt.maxDelay + 1)
 	buf := rt.slots[slot]
 	if len(buf) == 0 {
@@ -471,7 +427,7 @@ func (rt *Runtime) deliverRecord() bool {
 		for i := range rt.inOff {
 			rt.inOff[i] = 0
 		}
-		return false
+		return
 	}
 
 	bufPart := exch.Partition{N: len(buf), Parts: rt.shards}
@@ -492,41 +448,14 @@ func (rt *Runtime) deliverRecord() bool {
 	}
 	rt.sorted = rt.sorted[:len(buf)]
 	rt.sortedIdx = rt.sortedIdx[:len(buf)]
-	return true
-}
-
-// fillOwner sorts owner o's peer range: Fill places the slot indices of
-// o's incoming messages in canonical order and writes the per-peer offsets,
-// then the gather copies the messages themselves. Returns o's end offset.
-// Within a bucket Fill's order is ascending slot position — the canonical
-// (send round, sender, emission index) order, exactly as the pre-kernel
-// per-shard-counts sort produced.
-func (rt *Runtime) fillOwner(o int) int32 {
-	buf := rt.slots[rt.round%(rt.maxDelay+1)]
-	end := rt.inbox.Fill(o, rt.inOff, rt.sortedIdx)
-	for j := rt.inbox.Base(o); j < end; j++ {
-		rt.sorted[j] = buf[rt.sortedIdx[j]]
-	}
-	return end
-}
-
-// deliverEpilogue closes the offset table and recycles the drained slot.
-func (rt *Runtime) deliverEpilogue() {
-	slot := rt.round % (rt.maxDelay + 1)
-	rt.inOff[rt.n] = int32(len(rt.slots[slot]))
-	rt.slots[slot] = rt.slots[slot][:0]
-}
-
-// deliver counting-sorts the slot due this round by destination on the
-// owner-range exchange: record per-owner chunks, serial prefix, per-owner
-// Fill + gather. Delivery scratch is O(n + messages) — the owners' count
-// arrays partition [0, n) instead of every shard holding a length-n array.
-func (rt *Runtime) deliver() {
-	if !rt.deliverRecord() {
-		return
-	}
-	rt.fanOutSpan(obs.PhaseDeliver, func(o int) { rt.fillOwner(o) })
-	rt.deliverEpilogue()
+	rt.fanOutSpan(obs.PhaseDeliver, func(o int) {
+		end := rt.inbox.Fill(o, rt.inOff, rt.sortedIdx)
+		for j := rt.inbox.Base(o); j < end; j++ {
+			rt.sorted[j] = buf[rt.sortedIdx[j]]
+		}
+	})
+	rt.inOff[rt.n] = int32(len(buf))
+	rt.slots[slot] = buf[:0]
 }
 
 // stepAll advances every peer one round: shard w walks its peer range in

@@ -453,11 +453,10 @@ func TestPlanBeyondMaxDelayCountsClamps(t *testing.T) {
 	}
 }
 
-func TestInboxAfterPipelinedEmptyRounds(t *testing.T) {
+func TestInboxAfterEmptyRounds(t *testing.T) {
 	// The delivered view after rounds in which nothing was sent: Inbox must
-	// report every peer empty — under both schedules, including immediately
-	// after RunPipelined's fused delivery path — and a Run/RunPipelined
-	// interleave on one runtime must expose the same view as a pure-Run twin.
+	// report every peer empty, and splitting the rounds over several Run
+	// calls on one runtime must expose the same view as a single-call twin.
 	const n = 50
 	quietAfter := func(st *chatterState) func(int, int, []simnet.Message, *rng.Stream, func(simnet.Message)) {
 		return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
@@ -487,87 +486,24 @@ func TestInboxAfterPipelinedEmptyRounds(t *testing.T) {
 	rt1.Run(5)
 	check("Run", rt1)
 
+	// Splitting the rounds must not change state or view: compare digests,
+	// stats and the final inboxes against the single-call runtime.
 	st2 := newChatter(n, 3)
 	rt2, err := New(Config{N: n, Seed: 4, Step: quietAfter(st2), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt2.RunPipelined(5)
-	check("RunPipelined", rt2)
-
-	// Interleaving the schedules must not change state or view: compare
-	// digests, stats and the final inboxes against the pure-Run runtime.
-	st3 := newChatter(n, 3)
-	rt3, err := New(Config{N: n, Seed: 4, Step: quietAfter(st3), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt3.Run(1)
-	rt3.RunPipelined(3)
-	stats := rt3.Run(1)
-	check("interleaved", rt3)
-	if st3.combined() != st1.combined() || stats != rt1.Stats() {
-		t.Fatal("Run/RunPipelined interleave diverged from pure Run")
+	rt2.Run(1)
+	rt2.Run(3)
+	stats := rt2.Run(1)
+	check("split", rt2)
+	if st2.combined() != st1.combined() || stats != rt1.Stats() {
+		t.Fatal("split Run calls diverged from a single Run")
 	}
 	for i := 0; i < n; i++ {
-		if len(rt3.Inbox(i)) != len(rt1.Inbox(i)) {
-			t.Fatalf("inbox %d view differs between interleaved and pure Run", i)
+		if len(rt2.Inbox(i)) != len(rt1.Inbox(i)) {
+			t.Fatalf("inbox %d view differs between split and single Run", i)
 		}
-	}
-}
-
-func TestRunPipelinedBitIdentity(t *testing.T) {
-	// RunPipelined fuses the delivery sort with the step phase; the fusion
-	// must be a pure scheduling change — bit-identical digests, stats and
-	// last-round inboxes at every shard count, across every model family,
-	// and stable under interleaving with the unfused Run.
-	const n, rounds = 2000, 12
-	models := map[string]NetModel{
-		"sync":  nil,
-		"fixed": FixedLatency{Rounds: 3},
-		"geom":  GeomLatency{P: 0.6, Cap: 5},
-		"loss":  Loss{P: 0.2, Under: GeomLatency{P: 0.5, Cap: 3}},
-		"churn": EpochChurn{Seed: 9, Epoch: 4, DownFrac: 0.3},
-	}
-	for name, net := range models {
-		t.Run(name, func(t *testing.T) {
-			refSt := newChatter(n, 2)
-			ref, err := New(Config{N: n, Seed: 42, Step: refSt.step, Shards: 4, Net: net})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refStats := ref.Run(rounds)
-			for _, shards := range []int{1, 3, 8} {
-				st := newChatter(n, 2)
-				rt, err := New(Config{N: n, Seed: 42, Step: st.step, Shards: shards, Net: net})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Interleave the two schedules to prove they share state
-				// cleanly: unfused prefix, pipelined middle, unfused tail.
-				stats := rt.Run(2)
-				stats = rt.RunPipelined(rounds - 4)
-				stats = rt.Run(2)
-				if st.combined() != refSt.combined() || stats != refStats {
-					t.Fatalf("shards=%d: pipelined run diverged from Run (digest %x vs %x)",
-						shards, st.combined(), refSt.combined())
-				}
-				for i := 0; i < n; i++ {
-					a, b := ref.Inbox(i), rt.Inbox(i)
-					if len(a) != len(b) {
-						t.Fatalf("shards=%d: inbox %d length %d vs %d", shards, i, len(b), len(a))
-					}
-					for k := range a {
-						if a[k] != b[k] {
-							t.Fatalf("shards=%d: inbox %d message %d differs", shards, i, k)
-						}
-					}
-				}
-			}
-			if refStats.Sent == 0 {
-				t.Fatal("no traffic at all")
-			}
-		})
 	}
 }
 

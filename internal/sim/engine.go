@@ -13,27 +13,24 @@ import (
 	"repro/internal/stats"
 )
 
-// EngineRow reports one configuration of the round-engine benchmark.
+// EngineRow reports one worker count of the round-engine benchmark.
 type EngineRow struct {
-	// Mode is the execution schedule: "parallel" (per-worker streams, the
-	// legacy timing baseline), "seeded" (worker-count-independent rounds,
-	// one at a time) or "pipelined" (RunRoundsSeeded: round r+1's scatter
-	// overlapping round r's matching).
+	// Mode is the execution schedule; always "seeded" (worker-count
+	// independent rounds, one at a time — the path every protocol runs).
 	Mode           string  `json:"mode"`
 	Workers        int     `json:"workers"`
 	SecondsPerRnd  float64 `json:"seconds_per_round"`
 	RequestsPerSec float64 `json:"requests_per_second"` // scattered offers+demands per wall second
 	Fraction       float64 `json:"fraction"`            // arranged dates / m, averaged over rounds
-	// Speedup compares against the mode's natural baseline: serial seconds
-	// for parallel rows, the same-worker seeded row for pipelined rows.
+	// Speedup compares against the workers = 1 row.
 	Speedup float64 `json:"speedup_vs_serial"`
 }
 
-// EngineResult is the full round-engine benchmark: one serial baseline row
-// (workers = 1) followed by the requested parallel worker counts. Points
-// carries the generic Report-derived perf-trajectory records the
-// BENCH_engine.json file collects (protocol "engine-round"; Messages is
-// the number of requests scattered).
+// EngineResult is the full round-engine benchmark: one row per distinct
+// worker count, the workers = 1 baseline first. Points carries the generic
+// Report-derived perf-trajectory records the BENCH_engine.json file
+// collects (protocol "engine-seeded"; Messages is the number of requests
+// scattered).
 type EngineResult struct {
 	N      int          `json:"n"`
 	Rounds int          `json:"rounds"`
@@ -48,17 +45,13 @@ func (r EngineResult) Table() *stats.Table {
 		"mode", "workers", "s/round", "req/s", "fraction", "speedup",
 	)
 	for _, row := range r.Rows {
-		speedup := "" // seeded rows are the pipelined baseline: no speedup of their own
-		if row.Speedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", row.Speedup)
-		}
 		t.AddRow(
 			row.Mode,
 			fmt.Sprint(row.Workers),
 			fmt.Sprintf("%.4f", row.SecondsPerRnd),
 			fmt.Sprintf("%.3g", row.RequestsPerSec),
 			fmt.Sprintf("%.4f", row.Fraction),
-			speedup,
+			fmt.Sprintf("%.2fx", row.Speedup),
 		)
 	}
 	return t
@@ -75,22 +68,29 @@ func RunEngineScaled(scale Scale, seed uint64) (EngineResult, error) {
 }
 
 // RunEngineBench profiles the dating-service round engine at a single
-// large n: it times the serial path, then the parallel path at each
-// requested worker count, on a homogeneous unit-bandwidth profile under
-// uniform selection (the Figure 1 hot path). Every configuration validates
-// its first round against ValidateCapacities so a performance run doubles
-// as a safety check. The million-node profile of the ISSUE is
-// RunEngineBench(1_000_000, rounds, []int{2, 4, ...}, seed).
+// large n: it times the seeded round (the path every protocol runs) at
+// workers = 1 and at each requested worker count, on a homogeneous
+// unit-bandwidth profile under uniform selection (the Figure 1 hot path).
+// Every worker count runs the same round seeds, drawn off seed, and must
+// arrange the same dates — the seeded path is worker-count independent —
+// and every configuration validates its warm-up round against
+// ValidateCapacities, so a performance run doubles as a safety and
+// determinism check.
 func RunEngineBench(n, rounds int, workerCounts []int, seed uint64) (EngineResult, error) {
 	if n <= 0 || rounds <= 0 {
 		return EngineResult{}, fmt.Errorf("sim: engine bench needs positive n and rounds (got n=%d rounds=%d)", n, rounds)
 	}
 	res := EngineResult{N: n, Rounds: rounds}
 
-	counts := append([]int{1}, workerCounts...)
+	seedStream := rng.New(seed)
+	roundSeeds := make([]uint64, rounds)
+	for r := range roundSeeds {
+		roundSeeds[r] = seedStream.Uint64()
+	}
+	var refDates [][]core.Date
 	serialSec := 0.0
 	seen := map[int]bool{}
-	for _, workers := range counts {
+	for _, workers := range append([]int{1}, workerCounts...) {
 		if workers < 1 || seen[workers] {
 			continue
 		}
@@ -113,11 +113,9 @@ func RunEngineBench(n, rounds int, workerCounts []int, seed uint64) (EngineResul
 		if err != nil {
 			return EngineResult{}, err
 		}
-		streams := rng.NewStreams(seed, workers)
-
 		// Warm-up round: touches every scratch buffer so allocation cost
 		// does not pollute the timing, and validates the safety property.
-		first, err := svc.RunRoundParallel(streams, workers)
+		first, err := svc.RunRoundSeeded(seed, workers, nil)
 		if err != nil {
 			return EngineResult{}, err
 		}
@@ -126,27 +124,40 @@ func RunEngineBench(n, rounds int, workerCounts []int, seed uint64) (EngineResul
 		}
 
 		dates := 0
+		var roundDates [][]core.Date
 		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			out, err := svc.RunRoundParallel(streams, workers)
+		for _, rs := range roundSeeds {
+			out, err := svc.RunRoundSeeded(rs, workers, nil)
 			if err != nil {
 				return EngineResult{}, err
 			}
 			dates += len(out.Dates)
+			roundDates = append(roundDates, out.Dates)
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&memAfter)
-		sec := elapsed.Seconds() / float64(rounds)
 
+		if refDates == nil {
+			refDates = roundDates
+		} else {
+			for r := range roundDates {
+				if !slices.Equal(roundDates[r], refDates[r]) {
+					return EngineResult{}, fmt.Errorf(
+						"sim: engine bench workers=%d: round %d diverged from workers=1", workers, r)
+				}
+			}
+		}
+
+		sec := elapsed.Seconds() / float64(rounds)
+		if workers == 1 {
+			serialSec = sec
+		}
 		row := EngineRow{
-			Mode:           "parallel",
+			Mode:           "seeded",
 			Workers:        workers,
 			SecondsPerRnd:  sec,
 			RequestsPerSec: float64(2*n) / sec,
 			Fraction:       float64(dates) / float64(rounds) / float64(n),
-		}
-		if workers == 1 {
-			serialSec = sec
 		}
 		if serialSec > 0 && sec > 0 {
 			row.Speedup = serialSec / sec
@@ -157,7 +168,7 @@ func RunEngineBench(n, rounds int, workerCounts []int, seed uint64) (EngineResul
 		// BENCH writer emits. The memory columns ride alongside so the
 		// O(n + requests) scratch claim stays visible in the trajectory.
 		p := PointFromReport(n, run.Report{
-			Protocol:  "engine-round",
+			Protocol:  "engine-seeded",
 			Rounds:    rounds,
 			Completed: true,
 			Messages:  int64(2*n) * int64(rounds),
@@ -167,115 +178,6 @@ func RunEngineBench(n, rounds int, workerCounts []int, seed uint64) (EngineResul
 		})
 		p.SampleMem(&memBefore, &memAfter)
 		res.Points = append(res.Points, p)
-	}
-
-	// Pipelined section: the seeded engine one round at a time versus the
-	// same rounds batched through RunRoundsSeeded, per worker count. The two
-	// schedules must produce bit-identical dates — the benchmark doubles as
-	// the golden check — and the pipelined row's speedup column is its
-	// s/round gain over the same-worker seeded row, the delta the perf gate
-	// watches.
-	seedStream := rng.New(seed)
-	roundSeeds := make([]uint64, rounds)
-	for r := range roundSeeds {
-		roundSeeds[r] = seedStream.Uint64()
-	}
-	seenPipelined := map[int]bool{}
-	for _, workers := range counts {
-		if workers < 1 || seenPipelined[workers] {
-			continue
-		}
-		seenPipelined[workers] = true
-		var seqDates [][]core.Date
-		var seededSec float64
-		for _, mode := range []string{"seeded", "pipelined"} {
-			runtime.GC()
-			var memBefore, memAfter runtime.MemStats
-			runtime.ReadMemStats(&memBefore)
-
-			sel, err := core.NewUniformSelector(n)
-			if err != nil {
-				return EngineResult{}, err
-			}
-			svc, err := core.NewService(bandwidth.Homogeneous(n, 1), sel)
-			if err != nil {
-				return EngineResult{}, err
-			}
-			// Warm-up: touch every scratch buffer (including the back pair
-			// in pipelined mode) and validate the safety property.
-			if mode == "seeded" {
-				first, err := svc.RunRoundSeeded(seed, workers)
-				if err != nil {
-					return EngineResult{}, err
-				}
-				if err := core.ValidateCapacities(first, svc.Profile()); err != nil {
-					return EngineResult{}, fmt.Errorf("sim: engine bench seeded workers=%d: %w", workers, err)
-				}
-			} else {
-				if _, err := svc.RunRoundsSeeded(roundSeeds[:1], workers); err != nil {
-					return EngineResult{}, err
-				}
-			}
-
-			dates := 0
-			var batch []core.RoundResult
-			start := time.Now()
-			if mode == "seeded" {
-				for _, rs := range roundSeeds {
-					out, err := svc.RunRoundSeeded(rs, workers)
-					if err != nil {
-						return EngineResult{}, err
-					}
-					dates += len(out.Dates)
-					seqDates = append(seqDates, out.Dates)
-				}
-			} else {
-				batch, err = svc.RunRoundsSeeded(roundSeeds, workers)
-				if err != nil {
-					return EngineResult{}, err
-				}
-				for _, out := range batch {
-					dates += len(out.Dates)
-				}
-			}
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&memAfter)
-
-			if mode == "pipelined" {
-				for r := range batch {
-					if !slices.Equal(batch[r].Dates, seqDates[r]) {
-						return EngineResult{}, fmt.Errorf(
-							"sim: engine bench workers=%d: pipelined round %d diverged from sequential", workers, r)
-					}
-				}
-			}
-
-			sec := elapsed.Seconds() / float64(rounds)
-			row := EngineRow{
-				Mode:           mode,
-				Workers:        workers,
-				SecondsPerRnd:  sec,
-				RequestsPerSec: float64(2*n) / sec,
-				Fraction:       float64(dates) / float64(rounds) / float64(n),
-			}
-			if mode == "seeded" {
-				seededSec = sec
-			} else if seededSec > 0 && sec > 0 {
-				row.Speedup = seededSec / sec
-			}
-			res.Rows = append(res.Rows, row)
-			p := PointFromReport(n, run.Report{
-				Protocol:  "engine-" + mode,
-				Rounds:    rounds,
-				Completed: true,
-				Messages:  int64(2*n) * int64(rounds),
-				Wall:      elapsed,
-				Seed:      seed,
-				Workers:   workers,
-			})
-			p.SampleMem(&memBefore, &memAfter)
-			res.Points = append(res.Points, p)
-		}
 	}
 	return res, nil
 }

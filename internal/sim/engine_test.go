@@ -10,33 +10,20 @@ func TestRunEngineBenchShape(t *testing.T) {
 	if res.N != 5000 || res.Rounds != 2 {
 		t.Fatalf("echoed parameters wrong: %+v", res)
 	}
-	// Serial baseline first, duplicates and invalid counts dropped; then the
-	// seeded/pipelined pair per worker count.
-	workers := []int{1, 2, 4}
-	type rowKey struct {
-		mode    string
-		workers int
-	}
-	var want []rowKey
-	for _, w := range workers {
-		want = append(want, rowKey{"parallel", w})
-	}
-	for _, w := range workers {
-		want = append(want, rowKey{"seeded", w}, rowKey{"pipelined", w})
-	}
+	// Serial baseline first, duplicates and invalid counts dropped: one
+	// seeded row per worker count.
+	want := []int{1, 2, 4}
 	if len(res.Rows) != len(want) {
 		t.Fatalf("%d rows, want %d: %+v", len(res.Rows), len(want), res.Rows)
 	}
 	for i, row := range res.Rows {
-		if row.Mode != want[i].mode || row.Workers != want[i].workers {
-			t.Fatalf("row %d is %s/%d, want %s/%d", i, row.Mode, row.Workers, want[i].mode, want[i].workers)
+		if row.Mode != "seeded" || row.Workers != want[i] {
+			t.Fatalf("row %d is %s/%d, want seeded/%d", i, row.Mode, row.Workers, want[i])
 		}
 		if row.SecondsPerRnd <= 0 {
 			t.Fatalf("row %d has non-positive timing: %+v", i, row)
 		}
-		// Parallel and pipelined rows carry a speedup versus their baseline;
-		// seeded rows are themselves the pipelined baseline.
-		if row.Mode != "seeded" && row.Speedup <= 0 {
+		if row.Speedup <= 0 {
 			t.Fatalf("row %d missing speedup: %+v", i, row)
 		}
 		if row.Fraction < 0.40 || row.Fraction > 0.55 {
@@ -47,15 +34,11 @@ func TestRunEngineBenchShape(t *testing.T) {
 		t.Fatalf("%d points, want %d", len(res.Points), len(want))
 	}
 	for i, p := range res.Points {
-		wantProto := "engine-" + want[i].mode
-		if want[i].mode == "parallel" {
-			wantProto = "engine-round" // historical key for the legacy rows
+		if p.Protocol != "engine-seeded" {
+			t.Fatalf("point %d has protocol %q, want engine-seeded", i, p.Protocol)
 		}
-		if p.Protocol != wantProto {
-			t.Fatalf("point %d has protocol %q, want %q", i, p.Protocol, wantProto)
-		}
-		if p.Workers != want[i].workers {
-			t.Fatalf("point %d has workers %d, want %d", i, p.Workers, want[i].workers)
+		if p.Workers != want[i] {
+			t.Fatalf("point %d has workers %d, want %d", i, p.Workers, want[i])
 		}
 	}
 	if tbl := res.Table(); tbl.NumRows() != len(want) {

@@ -153,7 +153,7 @@ type LiveBenchResult struct {
 	Identical bool `json:"identical_across_engines"`
 	// TrajectoryDigest is the FNV-1a digest of the reference trajectory
 	// (see TrajectoryDigest): a pure function of (n, seed), whatever the
-	// engine, shard count, pipelining or instrumentation.
+	// engine, shard count or instrumentation.
 	TrajectoryDigest string         `json:"trajectory_digest"`
 	Rows             []LiveBenchRow `json:"rows"`
 	Points           []BenchPoint   `json:"points"`
@@ -207,13 +207,6 @@ func RunLiveBench(n, shards int, baseline bool, seed uint64) (LiveBenchResult, e
 		specs = append(specs, runSpec{"sharded", sc,
 			[]run.Option{run.WithSeed(seed), run.WithWorkers(sc), run.WithEngine(run.EngineSharded)}})
 	}
-	// The pipelined schedule fuses the delivery sort into the step phase;
-	// its trajectory rides the same Identical check as every other engine,
-	// so the benchmark doubles as the fused-loop golden.
-	pipelinedShards := shardCounts[len(shardCounts)-1]
-	specs = append(specs, runSpec{"sharded-pipelined", pipelinedShards,
-		[]run.Option{run.WithSeed(seed), run.WithWorkers(pipelinedShards),
-			run.WithEngine(run.EngineSharded), run.WithPipeline(4)}})
 	if baseline {
 		specs = append(specs, runSpec{"goroutine", 0,
 			[]run.Option{run.WithSeed(seed), run.WithEngine(run.EngineGoroutine)}})
@@ -245,12 +238,6 @@ func RunLiveBench(n, shards int, baseline bool, seed uint64) (LiveBenchResult, e
 		}
 		p := PointFromReport(n, rep)
 		p.SampleMem(&memBefore, &memAfter)
-		if spec.engine == "sharded-pipelined" {
-			// Distinct protocol name so the perf gate tracks the fused loop
-			// as its own trajectory instead of pairing it with the sharded
-			// point at the same (n, workers) key.
-			p.Protocol = "live-pipelined"
-		}
 		row := LiveBenchRow{
 			Engine:       spec.engine,
 			Shards:       spec.shards,

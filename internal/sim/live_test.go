@@ -47,23 +47,16 @@ func TestRunLiveBench(t *testing.T) {
 	if !res.Identical {
 		t.Fatal("engines disagreed on the spreading trajectory")
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (sharded x2 + pipelined + goroutine)", len(res.Rows))
+	if len(res.Rows) != 3 {
+		t.Fatalf("got %d rows, want 3 (sharded x2 + goroutine)", len(res.Rows))
 	}
-	var sawPipelined bool
 	for i, row := range res.Rows {
 		if row.SecPerDating <= 0 || row.MsgsPerSec <= 0 {
 			t.Fatalf("row %+v has empty metrics", row)
 		}
-		if row.Engine == "sharded-pipelined" {
-			sawPipelined = true
-			if res.Points[i].Protocol != "live-pipelined" {
-				t.Fatalf("pipelined point has protocol %q", res.Points[i].Protocol)
-			}
+		if res.Points[i].Protocol != "live" {
+			t.Fatalf("point %d has protocol %q, want live", i, res.Points[i].Protocol)
 		}
-	}
-	if !sawPipelined {
-		t.Fatal("no sharded-pipelined row")
 	}
 	if _, err := RunLiveBench(0, 1, false, 1); err == nil {
 		t.Error("accepted n = 0")

@@ -54,7 +54,7 @@ func Registry() []Experiment {
 		{"multirumor", "E11: concurrent rumors share the dates", parTabler(RunMultiRumorExperimentPar)},
 		{"loads", "E12: worst per-node loads (bandwidth honesty)", parTabler(RunLoadViolationPar)},
 		{"dynamicdht", "E13: spreading over a churning DHT", parTabler(RunDynamicDHTPar)},
-		{"engine", "round-engine throughput, serial vs parallel workers", tabler(RunEngineScaled)},
+		{"engine", "seeded round-engine throughput vs worker count", tabler(RunEngineScaled)},
 		{"live", "sharded message runtime: scale sweep + latency/loss sensitivity", parTabler(RunLiveScaled)},
 		{"async", "sync-vs-async spread curves on exponential peer clocks", parTabler(RunAsyncCompare)},
 		{"topology", "graph-constrained spreader/stifler spreading: final size vs alpha", parTabler(RunTopologySpread)},

@@ -80,7 +80,7 @@ func PointFromReport(n int, rep run.Report) BenchPoint {
 
 // TrajectoryDigest folds a run's trajectory into an FNV-1a 64 hex digest.
 // The trajectory is the deterministic heart of a report — a pure function of
-// (spec, seed), independent of workers, engine, pipelining and observers —
+// (spec, seed), independent of workers, engine and observers —
 // so the digest is a compact bit-identity witness: two runs agree on it iff
 // they spread identically round for round. datebench -digest prints it, and
 // the CI instrumentation-identity smoke compares instrumented against

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -320,5 +321,30 @@ func TestTopologyFacade(t *testing.T) {
 	}
 	if _, err := repro.PowerLawGraph(100, 2.5, 2, 20, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunRejectsNaNRates(t *testing.T) {
+	// Every rate and probability field is range-checked with a test NaN
+	// fails, so a NaN must come back as an error, never as a run.
+	g, err := repro.BarabasiAlbertGraph(200, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		spec repro.Spec
+	}{
+		{"topology alpha", repro.TopologyConfig{Graph: g, Alpha: nan}},
+		{"topology lambda", repro.TopologyConfig{Graph: g, Lambda: nan}},
+		{"topology delta", repro.TopologyConfig{Graph: g, Delta: nan}},
+		{"rumor crash probability", repro.RumorConfig{N: 64, Algorithm: repro.Dating, CrashProb: nan}},
+		{"consensus threshold", repro.ConsensusConfig{Variants: 2, Graph: g, Threshold: nan}},
+	}
+	for _, tc := range cases {
+		if _, err := repro.Run(tc.spec, repro.WithSeed(1)); err == nil {
+			t.Errorf("%s: NaN accepted", tc.name)
+		}
 	}
 }

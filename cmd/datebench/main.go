@@ -76,8 +76,10 @@
 // (including the live observer snapshot at /debug/vars) on ADDR for the
 // duration of the run. Observation is read-only: results are bit-identical
 // with and without these flags, a property -digest makes checkable — in
-// live and async modes it prints only the run's trajectory digest, so CI
-// compares instrumented and uninstrumented runs with a one-line cmp:
+// live, async, topology and consensus modes it prints only the run's
+// identity digest (the trajectory digest; consensus: the share-history
+// digest), so CI compares instrumented and uninstrumented runs with a
+// one-line cmp:
 //
 //	datebench -mode live -trace out.json -digest
 package main
@@ -92,6 +94,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -104,13 +107,13 @@ func realMain() int {
 	seed := flag.Uint64("seed", 42, "root random seed")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "harness workers (figure1 mode; results identical for any value)")
 	workers := flag.Int("workers", 4, "max parallel workers (engine mode)")
-	n := flag.Int("n", 1_000_000, "node count (engine mode; live mode defaults to 100000)")
+	n := flag.Int("n", 1_000_000, "node count (engine mode; live, async, topology and consensus modes default to 100000)")
 	rounds := flag.Int("rounds", 5, "timed rounds per worker count (engine mode)")
-	shards := flag.Int("shards", 4, "sharded runtime workers (live and async modes; any value is bit-identical)")
+	shards := flag.Int("shards", 4, "runtime workers (live, async, topology and consensus modes; any value is bit-identical)")
 	baseline := flag.Bool("baseline", true, "include the goroutine-per-peer engine (live mode)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of a table")
-	digest := flag.Bool("digest", false, "print only the trajectory digest (live and async modes)")
+	digest := flag.Bool("digest", false, "print only the identity digest (live, async, topology and consensus modes)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event timeline to this file (about:tracing / ui.perfetto.dev)")
 	metrics := flag.Bool("metrics", false, "print instrumentation summary tables to stderr after the run")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
@@ -195,103 +198,28 @@ func realMain() int {
 			fmt.Print(res.Table().Render())
 		}
 
-	case "async":
-		asyncN := *n
+	case "live", "async", "topology", "consensus":
+		benchN := *n
 		if !nFlagSet() {
-			asyncN = 100_000
+			benchN = 100_000
 		}
-		res, err := sim.RunAsyncBench(asyncN, *shards, *seed)
+		res, err := runShardBench(*mode, benchN, *shards, *baseline, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "datebench:", err)
 			return 1
 		}
 		switch {
 		case *digest:
-			fmt.Println(res.TrajectoryDigest)
+			fmt.Println(res.digest)
 		case *jsonOut:
-			emitJSON("async", *seed, res)
+			emitJSON(*mode, *seed, res.result)
 		case *csv:
-			fmt.Print(res.Table().CSV())
+			fmt.Print(res.table.CSV())
 		default:
-			fmt.Print(res.Table().Render())
+			fmt.Print(res.table.Render())
 		}
-		if !res.Identical {
-			fmt.Fprintln(os.Stderr, "datebench: shard counts disagree on the async spreading trajectory — determinism regression")
-			return 1
-		}
-
-	case "topology":
-		topoN := *n
-		if !nFlagSet() {
-			topoN = 100_000
-		}
-		res, err := sim.RunTopologyBench(topoN, *shards, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datebench:", err)
-			return 1
-		}
-		switch {
-		case *digest:
-			fmt.Println(res.TrajectoryDigest)
-		case *jsonOut:
-			emitJSON("topology", *seed, res)
-		case *csv:
-			fmt.Print(res.Table().CSV())
-		default:
-			fmt.Print(res.Table().Render())
-		}
-		if !res.Identical {
-			fmt.Fprintln(os.Stderr, "datebench: shard counts disagree on the topology spreading trajectory — determinism regression")
-			return 1
-		}
-
-	case "consensus":
-		consN := *n
-		if !nFlagSet() {
-			consN = 100_000
-		}
-		res, err := sim.RunConsensusBench(consN, *shards, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datebench:", err)
-			return 1
-		}
-		switch {
-		case *digest:
-			fmt.Println(res.ShareDigest)
-		case *jsonOut:
-			emitJSON("consensus", *seed, res)
-		case *csv:
-			fmt.Print(res.Table().CSV())
-		default:
-			fmt.Print(res.Table().Render())
-		}
-		if !res.Identical {
-			fmt.Fprintln(os.Stderr, "datebench: shard counts disagree on the consensus share history — determinism regression")
-			return 1
-		}
-
-	case "live":
-		liveN := *n
-		if !nFlagSet() {
-			liveN = 100_000
-		}
-		res, err := sim.RunLiveBench(liveN, *shards, *baseline, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datebench:", err)
-			return 1
-		}
-		switch {
-		case *digest:
-			fmt.Println(res.TrajectoryDigest)
-		case *jsonOut:
-			emitJSON("live", *seed, res)
-		case *csv:
-			fmt.Print(res.Table().CSV())
-		default:
-			fmt.Print(res.Table().Render())
-		}
-		if !res.Identical {
-			fmt.Fprintln(os.Stderr, "datebench: engines disagree on the spreading trajectory — determinism regression")
+		if !res.identical {
+			fmt.Fprintf(os.Stderr, "datebench: %s runs disagree on the %s — determinism regression\n", *mode, res.witness)
 			return 1
 		}
 
@@ -302,8 +230,40 @@ func realMain() int {
 	return 0
 }
 
-// nFlagSet reports whether -n was given explicitly; the live and async
-// modes default to a smaller n than engine mode when it was not.
+// shardBench is one run of a runtime bench mode: the result for -json, its
+// table, the digest -digest prints and whether every run agreed on it.
+type shardBench struct {
+	result    any
+	table     *stats.Table
+	digest    string
+	identical bool
+	// witness names what the runs are compared on.
+	witness string
+}
+
+// runShardBench runs the live, async, topology or consensus bench: each
+// sweeps the runtime's shard counts {1, shards} (live adds the goroutine
+// engine unless baseline is off) and checks every run against the first.
+func runShardBench(mode string, n, shards int, baseline bool, seed uint64) (shardBench, error) {
+	switch mode {
+	case "live":
+		r, err := sim.RunLiveBench(n, shards, baseline, seed)
+		return shardBench{r, r.Table(), r.TrajectoryDigest, r.Identical, "spreading trajectory"}, err
+	case "async":
+		r, err := sim.RunAsyncBench(n, shards, seed)
+		return shardBench{r, r.Table(), r.TrajectoryDigest, r.Identical, "spreading trajectory"}, err
+	case "topology":
+		r, err := sim.RunTopologyBench(n, shards, seed)
+		return shardBench{r, r.Table(), r.TrajectoryDigest, r.Identical, "spreading trajectory"}, err
+	default: // consensus
+		r, err := sim.RunConsensusBench(n, shards, seed)
+		return shardBench{r, r.Table(), r.ShareDigest, r.Identical, "variant-share history"}, err
+	}
+}
+
+// nFlagSet reports whether -n was given explicitly; the live, async,
+// topology and consensus modes default to a smaller n than engine mode when
+// it was not.
 func nFlagSet() bool {
 	set := false
 	flag.Visit(func(f *flag.Flag) {

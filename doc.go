@@ -23,62 +23,21 @@
 //
 // A protocol config — RumorConfig, MultiRumorConfig, LiveConfig,
 // AsyncConfig, TopologyConfig, ConsensusConfig, MongerConfig, StorageConfig,
-// HandshakeConfig — is a Spec,
-// and the axes orthogonal to the protocol ride as functional options:
+// HandshakeConfig — is a Spec. Configs carry only the protocol; the axes
+// orthogonal to it travel as options: WithSeed (roots every random stream),
+// WithWorkers (a shared worker budget, and the shard count of the message
+// runtimes), WithEngine (the live substrate: sharded by default,
+// goroutine-per-peer on request), WithNet (latency, loss, churn and
+// ring-asymmetry network models for live runs), WithTrace (per-round
+// replay) and WithObserver (read-only instrumentation). Every protocol
+// emits the same Report, with the protocol-native result in Report.Detail.
 //
-//   - WithSeed roots every random stream of the run. Streams are derived
-//     internally with the repository's one SplitMix64 scheme, one domain
-//     tag per protocol, so protocols sharing a seed draw from disjoint
-//     stream families and a Report is a pure function of (spec, seed).
-//   - WithWorkers sizes the run's worker budget — a shared token pool
-//     (internal/par.Budget) that the dating rounds draw spare workers from
-//     and that the sharded live runtime uses as its shard count. Because
-//     every budget-fed engine derives randomness per unit of work rather
-//     than per worker, the budget is a pure speed knob: bit-identical
-//     reports at every value.
-//   - WithEngine picks the execution substrate for live runs (sharded by
-//     default, goroutine-per-peer on request); under the perfect-sync
-//     network both substrates produce the identical report.
-//   - WithNet plugs a network model into live runs: NetFixedLatency,
-//     NetGeomLatency, NetLoss, NetEpochChurn, and NetRingLatency — the
-//     asymmetric model whose per-pair latency is the ring distance in a
-//     DHT-style embedding (UniformRingEmbedding builds one).
-//   - WithTrace replays the per-round trajectory to an observer once the
-//     run completes — once per calendar bucket for clockless AsyncConfig
-//     runs (for live observation, use a protocol-level hook such as
-//     RumorConfig.OnRound).
-//   - WithObserver attaches the instrumentation layer (see Observability
-//     below): Report.Metrics is filled with phase-timing and gauge
-//     aggregates, and the observer can export a Chrome trace timeline.
+// A Report is a pure function of (spec, seed): the worker count, the engine
+// choice (under the perfect-sync network) and an attached observer change
+// only wall-clock time, never a bit of the result. Golden and seed-compat
+// tests pin this.
 //
-// All protocols emit the same Report (rounds, per-round trajectory and
-// message counts, totals, worst per-node loads, wall time), with the
-// protocol-native result preserved in Report.Detail. The experiment
-// registry's "protocols" entry, the CLIs and the BENCH_*.json writers all
-// consume reports generically.
-//
-// Configs carry only the protocol: the orthogonal axes travel exclusively
-// as options. The legacy per-protocol entrypoints and the config fields
-// that duplicated the axes are gone; the seed-compatibility golden tests
-// pin Run's output bit-for-bit against the pre-refactor implementation.
-//
-// # Below the runner
-//
-// The package is the facade over the implementation layers, which remain
-// available for round-level work:
-//
-//   - the dating service itself (Algorithm 1), flat and message-level;
-//   - rumor spreading on top of it, plus the five classical baselines
-//     (PUSH, PULL, PUSH&PULL, fair PULL, fair PUSH&PULL) of Figure 2;
-//   - the DHT substrate of Section 4 (Chord-style and continuous–discrete
-//     routing, interval-weight selection, pipelined lookups);
-//   - the Section 5 extensions: multi-block rumor mongering with GF(2^8)
-//     random linear network coding, and replicated storage organized by
-//     block exchanges;
-//   - the experiment harness regenerating both figures of the paper's
-//     evaluation and the extension experiments listed in DESIGN.md.
-//
-// Single rounds:
+// Single rounds of Algorithm 1 stay available below the runner:
 //
 //	profile := repro.UnitBandwidth(1000)          // n nodes, bin = bout = 1
 //	sel, _ := repro.Uniform(1000)                 // selection distribution
@@ -87,226 +46,24 @@
 //	res := svc.RunRound(s)                        // one round of Algorithm 1
 //	fmt.Println(len(res.Dates), "dates arranged") // ≈ 0.47 * n
 //
-// # Parallelism: the owner-range exchange kernel
+// # Where to read more
 //
-// Every flat engine parallelizes a round as a radix-partitioned counting
-// sort, and the mechanism is implemented once, in internal/exch: a
-// Partition of [0, n) into uniform owner ranges plus a generic chunked
-// Exchange[T]. Workers own two kinds of contiguous ranges — a sender shard
-// (balanced by request weight) and a destination range (uniform id cuts).
-// During the scatter each worker records every emitted (destination,
-// sender) pair into the chunk buffer of the destination's owner; a tiny
-// serial exchange (O(workers²), no length-n scan) prefixes the owners'
-// incoming totals into base offsets; then each owner counting-sorts its
-// own destination range with a count array covering only that range,
-// replaying the chunks in worker order so every rendezvous bucket holds
-// its requests in global sender order. Round scratch is O(n + requests)
-// regardless of the worker count — the owners' count arrays partition
-// [0, n) rather than every worker holding a length-n array — and the
-// layout is a pure function of the round's inputs, so results never depend
-// on scheduling. Golden tests pin the engine's output bit-for-bit at
-// workers {1, 2, 4, 8}, and an allocation regression test asserts that
-// first-round bytes do not scale with the worker count. Every dating-round
-// entry point — RunRound, RunRoundSeeded, RunRoundShared, Arrange,
-// ArrangeShared and ArrangeDates — runs through this one round body.
+// README.md walks through each subsystem: the owner-range exchange kernel
+// every parallel phase shares, the sharded live-message runtime and its
+// network models, the clockless asynchronous runtime, spreading on explicit
+// graphs, conflicting-rumor consensus, observability and the
+// repetition-parallel experiment harness. The docs/ directory carries the
+// repository-level contracts:
 //
-// # Worker-count-independent engines
+//   - docs/ARCHITECTURE.md: the package map, who owns which peer ranges,
+//     the data flow of one round, and the three runtimes with the one
+//     message-level driver the live specs share;
+//   - docs/DETERMINISM.md: the bit-identity contract and the full
+//     seed-domain registry;
+//   - docs/BENCHMARKS.md: what each BENCH_*.json measures and how the CI
+//     benchdiff gate works.
 //
-// The engines underneath Run all share one property: their randomness is
-// derived per *unit of work*, not per worker. An Arranger (NewArranger)
-// seeds one stream per requesting node in the scatter pass
-// (SplitMix64(seed, scatterDomain, node)) and one per rendezvous bucket in
-// the match pass (SplitMix64(seed, matchDomain, rendezvous)), so whichever
-// worker processes a node or bucket draws exactly the same values:
-// Arrange(out, in, seed, workers) is bit-for-bit identical for every
-// workers count. The same scheme drives the profile round path as
-// DatingService.RunRoundSeeded(seed, workers, alive), and ArrangeShared /
-// RunRoundShared draw the worker count from a shared par.Budget instead of
-// a fixed knob — which is how a Run's rounds, and the experiment harness's
-// tail jobs, soak up idle cores without being able to change a number.
-//
-// # The sharded live-message runtime
-//
-// LiveConfig runs the dating handshake as a real message protocol: every
-// offer, answer and payload is an individually routed message and each
-// peer's only state is its rumor bit. Two substrates run the same step
-// code. The goroutine engine (WithEngine(LiveGoroutine)) is the
-// demonstrational one — one goroutine per peer, barrier-synchronized
-// rounds. The sharded runtime (internal/live, the default under Run) is
-// the production-scale one: a fixed pool of shard workers owning
-// contiguous peer ranges, messages counting-sorted between rounds with the
-// internal/exch kernel (shards exchange per-owner index chunks and each
-// owner sorts its own peer range — delivery scratch is O(n + messages)),
-// outgoing buffers prefix-summed into disjoint delivery-ring ranges so the
-// route phase copies in parallel, per-peer streams seeded SplitMix64(seed,
-// peerDomain, peer). Runs are bit-identical for every shard count and
-// across engines. A 10^6-peer spread completes in tens of seconds
-// (examples/livescale); at n=100k the sharded runtime is ~25x faster than
-// goroutine-per-peer (BENCH_live.json).
-//
-// WithNet plugs a network model into the sharded runtime: NetFixedLatency
-// and NetGeomLatency keep messages in flight for several rounds, NetLoss
-// drops them iid, NetEpochChurn takes whole peers down for whole epochs
-// (correlated loss), and NetRingLatency delays each pair by its ring
-// distance in a DHT-style embedding — the asymmetric model, under which
-// *which* rendezvous a request lands on decides how fast its handshake
-// completes. Model randomness derives from SplitMix64(seed, netDomain,
-// round, sender), preserving shard-count independence. The handshake
-// absorbs all of it — payloads and answers act on arrival, control
-// messages that miss their matching round wait for the rendezvous's next
-// one — so hostile networks slow spreading gracefully rather than wedging
-// it; the hetsim "live" experiment tables the sensitivity.
-//
-// # The clockless asynchronous runtime
-//
-// AsyncConfig drops the global round barrier: each peer contacts partners
-// at the points of its own Poisson process, the rate drawn from its
-// heterogeneity profile ((bin+bout)/2 — bandwidth heterogeneity becomes
-// firing-frequency heterogeneity), pushing the rumor when it knows it and
-// pulling a reply when the contact does. With a unit profile the mean
-// inter-firing gap is one expected synchronous round, so sync and async
-// spread curves share a time axis; the hetsim "async" experiment tables
-// the comparison on homogeneous and Zipf profiles.
-//
-// The runtime underneath (internal/async) is a sharded calendar queue on
-// the same internal/exch kernel as the live runtime. Continuous time is
-// cut into buckets of width AsyncConfig.BucketWidth; a bucket executes as
-// deliver (counting-sort the bucket's arrivals by destination), step (each
-// shard replays its peers' arrivals, then their firings in time order) and
-// route (hand emissions to future calendar slots) — and because peers
-// interact only through messages that land in later buckets, the bucket
-// boundary is the runtime's sole synchronization point. It is also the
-// latency quantum: arrivals are absorbed at the boundary of their arrival
-// bucket, so flight time is effectively max(Latency, time to the next
-// boundary).
-//
-// Determinism holds without a clock to anchor rounds: peer i's k-th firing
-// draws its inter-firing gap and its protocol randomness from a stream
-// seeded SplitMix64(seed, asyncFireDomain, i, k), receive handlers are
-// pure (no stream), and the exchange kernel reassembles emissions in
-// global (peer, firing) scan order — so a run is a pure function of
-// (spec, seed) and bit-identical for every WithWorkers shard count.
-// WithNet is rejected for async runs: flight time is the protocol's own
-// Latency axis, not a pluggable round-grain model.
-//
-// # Topology-constrained spreading
-//
-// TopologyConfig drops the any-to-any rendezvous assumption: contacts are
-// constrained to the edges of an explicit graph (internal/graph), stored in
-// compressed-sparse-row form — two flat int32 arrays, offsets and
-// neighbors, cache-friendly at millions of nodes. Four deterministic
-// generators build topologies as pure functions of their parameters and a
-// seed (streams derive under the dedicated DomainGraph tag, so a graph is
-// bit-identical wherever it is built, at every worker count — golden tests
-// pin each generator's digest): CompleteGraph (the paper's setting as a
-// topology), RingLatticeGraph (the regular high-clustering baseline),
-// ErdosRenyiGraph (G(n,p) via the Batagelj–Brandes geometric skip, O(n +
-// edges)), BarabasiAlbertGraph (preferential attachment) and PowerLawGraph
-// (erased configuration model with a free degree exponent).
-//
-// On top runs the Maki–Thompson spreader/stifler protocol: peers are
-// ignorant, spreaders or stiflers. Each round every spreader contacts one
-// neighbor — uniformly, or weighted by the neighbor's bandwidth profile
-// (TopologyConfig.Weighted). An ignorant contact accepts the rumor with
-// probability Lambda; a contact that already knew replies "known", which
-// stifles the initiating spreader with probability Alpha; and a spreader
-// ceases spontaneously with probability Delta. Unlike push&pull, the rumor
-// can die out before reaching everyone — the final spread fraction
-// (TopologyResult.FinalSpread) is the epidemic-size observable, and the
-// hetsim "topology" experiment tables it against Alpha on scale-free,
-// random and complete graphs, from random and hub sources.
-//
-// The protocol runs on both live substrates (goroutine and sharded), with
-// per-peer SIR state held in shard-owned contiguous blocks sized by
-// live.EffectiveShards — no slice is written by two workers. All transition
-// randomness comes from the acting peer's stream, consumed in canonical
-// inbox order, so trajectories are bit-identical at every shard count and
-// across engines; examples/topology cross-checks a 10^6-peer BA spread at
-// shards {1, 2, 4} by digest, and datebench -mode topology gates the same
-// identity in CI.
-//
-// # Conflicting-rumor consensus
-//
-// ConsensusConfig spreads K conflicting variants of one rumor over a graph
-// and measures convergence to agreement: each peer holds a current variant,
-// revises it under a pluggable merge rule whenever it hears variants from
-// its contacts, and the run completes when the leading variant is held by a
-// Threshold share of the population (90% by default — the convergence-time
-// observable). Seeding geometry is configurable: ConsensusSeedDistinct
-// places each variant at distinct uniform-random peers,
-// ConsensusSeedHubLeaf alternates variants between the degree extremes of
-// the graph (the seeding-advantage experiment on scale-free topologies),
-// and ConsensusSeedClustered gives each variant a contiguous ring range.
-//
-// Three merge rules, all deterministic in canonical inbox order:
-// ConsensusRuleMajority adopts the variant heard most often over the peer's
-// lifetime (exact ties to the lowest variant id); ConsensusRuleLatest
-// adopts the newest logical timestamp, so the last-stamped seed's variant
-// floods monotonically and consensus is guaranteed on any connected graph;
-// ConsensusRuleWeighted is majority with each message weighted by the
-// sender's mean profile bandwidth. The qualitative split the hetsim
-// "consensus" experiment tables: on the complete graph every rule converges
-// in O(log n) rounds, while on sparse scale-free graphs the lifetime-tally
-// rules can lock in local pluralities and stall below the threshold — only
-// the latest rule always floods to full agreement.
-//
-// The subsystem shares the topology machinery: per-peer variant state in
-// shard-owned contiguous blocks sized by live.EffectiveShards, contact
-// randomness from the acting peer's stream, merge rules that consume no
-// randomness — so runs are bit-identical at every shard count and across
-// engines (examples/consensus cross-checks by digest; datebench -mode
-// consensus gates the identity in CI). With an Observer attached,
-// per-round variant-share gauges land in Report.Metrics on the "consensus"
-// track.
-//
-// # Observability: read-only by contract
-//
-// WithObserver threads a passive instrumentation sink (internal/obs)
-// through all three execution runtimes. Each runtime registers a track;
-// its shards record per-(round, shard, phase) wall-clock spans into
-// lock-free per-shard arenas that the coordinator merges at the round
-// barrier, and the coordinator samples per-round gauges — messages routed
-// and dropped, clamped delays, calendar-queue depth, scratch bytes, budget
-// tokens in flight. Run aggregates everything into Report.Metrics; the
-// observer also writes the full timeline as Chrome trace_event JSON
-// (about:tracing / ui.perfetto.dev) and renders plain-text summary tables.
-// The CLIs expose all of it as -trace, -metrics and -pprof flags.
-//
-// The determinism contract: observers are read-only. They never touch a
-// random stream, never reorder message exchanges, and never feed anything
-// back into protocol state — so an instrumented run is bit-identical to an
-// uninstrumented one, at every worker count, with the trajectory-digest
-// identity pinned by tests and by a CI smoke comparing datebench digests
-// with and without -trace. A disabled observer (the nil default) costs the
-// runtimes one nil check per phase: every recording method is
-// nil-receiver-safe and the time.Now calls are gated on the observer being
-// attached.
-//
-// # The repetition-parallel experiment harness
-//
-// Above single runs, the experiment harness behind cmd/hetsim,
-// cmd/datebench and cmd/rumorbench parallelizes at the repetition grain:
-// every (overlay, repetition) cell of a figure sweep is an independent
-// simulation, run as one job with its own Service on its own goroutine.
-// Job streams are seeded
-//
-//	SplitMix64(rootSeed, domainTag, coordinates...)
-//
-// where the coordinates are the job's position in the sweep — (n index,
-// overlay index) for Figure 1, (n index, algorithm, repetition) for
-// Figure 2 — never "the next value of a shared generator". Combined with
-// fixed-order aggregation after the fan-in barrier, published tables are
-// byte-identical for every worker count; the -par flag of the CLIs only
-// changes wall-clock time. The harness workers and the engines inside
-// jobs share one par.Budget, so when a sweep's tail leaves cores idle the
-// remaining jobs' rounds parallelize inside — still without moving a
-// number. Golden tests pin the quick-scale tables by hash so harness
-// parallelism can never silently change published results.
-//
-// See the runnable programs under examples/ and the reproduction CLIs under
-// cmd/. The docs/ directory carries the repository-level contracts:
-// docs/ARCHITECTURE.md (package map and round data flow),
-// docs/DETERMINISM.md (the bit-identity contract and the full seed-domain
-// registry) and docs/BENCHMARKS.md (what each BENCH_*.json measures and how
-// the CI benchdiff gate works).
+// The runnable programs under examples/ and the reproduction CLIs under
+// cmd/ (datebench, rumorbench, hetsim, benchdiff) consume this package like
+// any other caller.
 package repro

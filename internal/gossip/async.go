@@ -125,14 +125,19 @@ func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
 	if width == 0 {
 		width = 1
 	}
+	if math.IsNaN(cfg.MaxTime) || math.IsInf(cfg.MaxTime, 0) {
+		return AsyncResult{}, fmt.Errorf("gossip: async max time %v must be finite", cfg.MaxTime)
+	}
 	maxTime := cfg.MaxTime
 	if maxTime <= 0 {
-		maxTime = 64
-		for v := 1; v < n; v <<= 1 {
-			maxTime += 64
-		}
+		maxTime = float64(roundCap(n))
 	}
-	maxBuckets := int(math.Ceil(maxTime / width))
+	// A non-positive or non-finite width is left to async.New to reject.
+	buckets := math.Ceil(maxTime / width)
+	if width > 0 && !(buckets < math.MaxInt) {
+		return AsyncResult{}, fmt.Errorf("gossip: async max time %v spans more buckets of width %v than an int counts", maxTime, width)
+	}
+	maxBuckets := int(buckets)
 
 	// Per-peer protocol state: peer i writes only informed[i] (its owner
 	// shard), so concurrent shards never race; the bucket barrier publishes
@@ -219,14 +224,5 @@ func (c AsyncConfig) Execute(o *run.Options) (run.Report, error) {
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Buckets,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		Detail:     res,
-	}, nil
+	return engineReport(res.Buckets, res.Completed, res.History, res.SentHistory, res.Traffic, res), nil
 }

@@ -150,28 +150,6 @@ type ConsensusConfig struct {
 	MaxRounds int
 }
 
-// ConsensusOptions carries the axes of a consensus run that are orthogonal
-// to the protocol; under repro.Run they come from the run options.
-type ConsensusOptions struct {
-	Seed uint64
-	// Engine picks the substrate; the zero value is the goroutine engine.
-	// All engines share the sharded runtime's per-peer stream derivation,
-	// so the engine choice never changes trajectories.
-	Engine LiveEngine
-	// Concurrent selects the goroutine engine's concurrent mode; ignored
-	// by the sharded engine.
-	Concurrent bool
-	// Shards is the sharded engine's worker count (0 = GOMAXPROCS); every
-	// value is bit-identical.
-	Shards int
-	// Net plugs a network model into the sharded engine; nil is perfect
-	// sync. The goroutine engine rejects non-nil models.
-	Net live.NetModel
-	// Obs, when non-nil, receives the runtime's phase spans plus the
-	// protocol's per-round variant-share gauges on a "consensus" track.
-	Obs *obs.Observer
-}
-
 // ConsensusResult reports a conflicting-rumor consensus run.
 type ConsensusResult struct {
 	Rounds int
@@ -354,10 +332,11 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 	if spv <= 0 {
 		spv = 1
 	}
-	total := cfg.Variants * spv
-	if total > n {
+	// Compared by division: Variants*spv can overflow for hostile spv.
+	if spv > n/cfg.Variants {
 		return nil, fmt.Errorf("gossip: %d variants x %d seeds exceed %d peers", cfg.Variants, spv, n)
 	}
+	total := cfg.Variants * spv
 	seeds := make([]int, 0, total)
 	switch cfg.Seeding {
 	case SeedDistinct:
@@ -398,9 +377,6 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 			}
 		}
 	case SeedClustered:
-		if spv > n/cfg.Variants {
-			return nil, fmt.Errorf("gossip: clustered seeding needs %d seeds within a ring range of %d", spv, n/cfg.Variants)
-		}
 		for v := 0; v < cfg.Variants; v++ {
 			start := v * n / cfg.Variants
 			for c := 0; c < spv; c++ {
@@ -415,7 +391,7 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 
 // RunConsensus executes conflicting-rumor consensus on a live message
 // engine.
-func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, error) {
+func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return ConsensusResult{}, fmt.Errorf("gossip: consensus run needs a graph")
 	}
@@ -439,8 +415,9 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 			weight[i] = float64(cfg.Profile.In[i]+cfg.Profile.Out[i]) / 2
 		}
 	}
-	if o.Engine == LiveGoroutine && o.Net != nil {
-		return ConsensusResult{}, fmt.Errorf("gossip: network models require the sharded engine")
+	d, err := newLiveDriver(n, cfg.MaxRounds, o)
+	if err != nil {
+		return ConsensusResult{}, err
 	}
 	threshold := cfg.Threshold
 	if threshold == 0 {
@@ -451,27 +428,13 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 	if err != nil {
 		return ConsensusResult{}, err
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 64
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
-	}
 	seeds, err := consensusSeeds(cfg, o.Seed)
 	if err != nil {
 		return ConsensusResult{}, err
 	}
 	spv := len(seeds) / cfg.Variants
 
-	// State blocks match the runtime's shard partition, so each block has
-	// exactly one writing worker; the goroutine engine steps sequentially
-	// per peer and uses a single block.
-	parts := 1
-	if o.Engine == LiveSharded {
-		parts = live.EffectiveShards(n, o.Shards)
-	}
-	st := newConsState(n, parts, cfg.Variants, cfg.Rule)
+	st := newConsState(n, d.parts, cfg.Variants, cfg.Rule)
 	for j, p := range seeds {
 		v := uint8(j/spv + 1)
 		st.setVariant(p, v)
@@ -489,38 +452,8 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		}
 	}
 
-	step := consStep(sampler, st, weight)
-	var runRounds func(rounds int) simnet.Stats
-	switch o.Engine {
-	case LiveGoroutine:
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
-		if err != nil {
-			return ConsensusResult{}, err
-		}
-		if o.Concurrent {
-			runRounds = eng.Run
-		} else {
-			runRounds = eng.RunSequential
-		}
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N:      n,
-			Seed:   o.Seed,
-			Step:   step,
-			Shards: o.Shards,
-			Net:    o.Net,
-			Obs:    o.Obs,
-		})
-		if err != nil {
-			return ConsensusResult{}, err
-		}
-		runRounds = rt.Run
-	default:
-		return ConsensusResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
+	if err := d.start(consStep(sampler, st, weight)); err != nil {
+		return ConsensusResult{}, err
 	}
 
 	tr := o.Obs.Track("consensus", 1)
@@ -531,13 +464,8 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 
 	res := ConsensusResult{Seeds: seeds}
 	shares := make([]int, cfg.Variants)
-	var prevSent int64
-	for round := 1; round <= maxRounds; round++ {
-		res.Traffic = runRounds(1)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
+	r := d.loop(0, 1, func(round int) bool {
 		decided := st.counts(shares)
-		res.Rounds = round
 		res.DecidedHist = append(res.DecidedHist, decided)
 		res.ShareHist = append(res.ShareHist, append([]int(nil), shares...))
 		lead, leadCount := 1, shares[0]
@@ -552,11 +480,9 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		tr.Barrier()
 		res.Winner = lead
 		res.Agreement = float64(leadCount) / float64(n)
-		if leadCount >= target {
-			res.Completed = true
-			break
-		}
-	}
+		return leadCount >= target
+	})
+	res.Rounds, res.Completed, res.SentHistory, res.Traffic = r.rounds, r.completed, r.sent, r.traffic
 	return res, nil
 }
 
@@ -570,31 +496,9 @@ func (c ConsensusConfig) Protocol() string { return "consensus" }
 // under perfect sync. Trajectory is the decided-peer history; Detail the full
 // ConsensusResult (per-round variant shares, winner, agreement).
 func (c ConsensusConfig) Execute(o *run.Options) (run.Report, error) {
-	copts := ConsensusOptions{
-		Seed: run.SeedFor(o.Seed, run.DomainConsensus),
-		Net:  o.Net,
-		Obs:  o.Obs,
-	}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		copts.Engine = LiveGoroutine
-		copts.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		copts.Engine = LiveSharded
-		copts.Shards = o.Workers
-	}
-	res, err := RunConsensus(c, copts)
+	res, err := RunConsensus(c, liveOptions(o, run.DomainConsensus))
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.DecidedHist,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		Detail:     res,
-	}, nil
+	return engineReport(res.Rounds, res.Completed, res.DecidedHist, res.SentHistory, res.Traffic, res), nil
 }

@@ -244,10 +244,7 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 64
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
+		maxRounds = roundCap(n)
 	}
 
 	st := &state{

@@ -6,22 +6,8 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/simnet"
-)
-
-// LiveEngine selects the execution substrate for a message-level run.
-type LiveEngine int
-
-const (
-	// LiveGoroutine is the legacy engine: one goroutine per peer (or its
-	// sequential twin, per LiveConfig.Concurrent). Perfect-sync only.
-	LiveGoroutine LiveEngine = iota
-	// LiveSharded is the internal/live runtime: a fixed pool of shard
-	// workers over flat message buffers. It scales to millions of peers,
-	// is bit-identical for every shard count, and accepts a NetModel.
-	LiveSharded
 )
 
 // LiveConfig parameterizes a fully message-level spreading run: the dating
@@ -36,35 +22,6 @@ type LiveConfig struct {
 	Source   int
 	// MaxDatingRounds caps the run (0 = generous log-based default).
 	MaxDatingRounds int
-}
-
-// LiveOptions carries the axes of a live run that are orthogonal to the
-// protocol: the seed, the execution substrate, its worker count and the
-// network model. Under repro.Run these come from the run options; RunLive
-// takes them explicitly so direct callers state the same separation.
-type LiveOptions struct {
-	Seed uint64
-	// Engine picks the substrate; the zero value is the goroutine engine.
-	// (All engines share the sharded runtime's per-peer stream derivation,
-	// so the engine choice never changes trajectories.)
-	Engine LiveEngine
-	// Concurrent selects the goroutine engine's concurrent mode (true) or
-	// its sequential twin (false); both produce identical results for the
-	// same seed. Ignored by the sharded engine, which always runs its
-	// shard workers.
-	Concurrent bool
-	// Shards is the sharded engine's worker count (0 = GOMAXPROCS). The
-	// run's results are bit-identical for every value: shards are a pure
-	// speed knob.
-	Shards int
-	// Net plugs a network model — latency, loss, churn — into the sharded
-	// engine; nil is the paper's perfect-sync model. The goroutine engine
-	// rejects non-nil models.
-	Net live.NetModel
-	// Obs, when non-nil, receives phase spans and per-round gauges from the
-	// sharded engine. Observers are read-only: attaching one never changes
-	// results. Ignored by the goroutine engine.
-	Obs *obs.Observer
 }
 
 // LiveResult reports a message-level spreading run.
@@ -110,8 +67,9 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	if o.Engine == LiveGoroutine && o.Net != nil {
-		return LiveResult{}, fmt.Errorf("gossip: network models require the sharded engine")
+	d, err := newLiveDriver(n, cfg.MaxDatingRounds, o)
+	if err != nil {
+		return LiveResult{}, err
 	}
 	sel := cfg.Selector
 	if sel == nil {
@@ -123,13 +81,6 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 	}
 	if sel.N() != n {
 		return LiveResult{}, fmt.Errorf("gossip: selector addresses %d nodes, profile has %d", sel.N(), n)
-	}
-	maxDating := cfg.MaxDatingRounds
-	if maxDating <= 0 {
-		maxDating = 64
-		for v := 1; v < n; v <<= 1 {
-			maxDating += 64
-		}
 	}
 
 	st := &livePeerState{
@@ -143,59 +94,17 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 		st.pendRequests = make([][]int32, n)
 	}
 	st.informed[cfg.Source] = true
-
-	step := liveEmitStep(cfg.Profile, sel, st)
-	var run func(steps int) simnet.Stats
-	switch o.Engine {
-	case LiveGoroutine:
-		// Derive the per-peer streams exactly as the sharded runtime does,
-		// so the engine choice never changes results: goroutine, sequential
-		// and sharded runs of one seed are bit-identical under perfect sync.
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
-		if err != nil {
-			return LiveResult{}, err
-		}
-		if o.Concurrent {
-			run = eng.Run
-		} else {
-			run = eng.RunSequential
-		}
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N:      n,
-			Seed:   o.Seed,
-			Step:   step,
-			Shards: o.Shards,
-			Net:    o.Net,
-			Obs:    o.Obs,
-		})
-		if err != nil {
-			return LiveResult{}, err
-		}
-		run = rt.Run
-	default:
-		return LiveResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
+	if err := d.start(liveEmitStep(cfg.Profile, sel, st)); err != nil {
+		return LiveResult{}, err
 	}
 
+	// A one-round prologue runs the first scatter (phase 0 of dating round
+	// 1, no payloads in flight yet). After it, every dating round runs
+	// phases 1 and 2 of the current round plus phase 0 of the next, which
+	// absorbs the payloads — so the informed count sampled after each round
+	// is exact for that round.
 	var res LiveResult
-	// Prologue: the first scatter (phase 0 of dating round 1, no payloads
-	// in flight yet). After it, every loop iteration runs phases 1 and 2 of
-	// the current dating round plus phase 0 of the next, which absorbs the
-	// payloads — so the informed count inspected after each iteration is
-	// exact for that round.
-	run(1)
-	var prevSent int64
-	for round := 1; round <= maxDating; round++ {
-		for i := range st.inPayloads {
-			st.inPayloads[i] = 0
-		}
-		res.Traffic = run(3)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
+	r := d.loop(1, 3, func(int) bool {
 		count := 0
 		for i := 0; i < n; i++ {
 			if st.informed[i] {
@@ -204,14 +113,12 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 			if st.inPayloads[i] > res.MaxInPayloads {
 				res.MaxInPayloads = st.inPayloads[i]
 			}
+			st.inPayloads[i] = 0 // counted afresh each dating round
 		}
-		res.DatingRounds = round
 		res.History = append(res.History, count)
-		if count == n {
-			res.Completed = true
-			break
-		}
-	}
+		return count == n
+	})
+	res.DatingRounds, res.Completed, res.SentHistory, res.Traffic = r.rounds, r.completed, r.sent, r.traffic
 	return res, nil
 }
 
@@ -295,15 +202,5 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *livePeerStat
 		if len(requests) > 0 {
 			st.pendRequests[node] = append(st.pendRequests[node], requests...)
 		}
-	}
-}
-
-// adaptStep converts the emit-style step back to the slice-returning shape
-// of the goroutine engine, so both substrates run the same protocol code.
-func adaptStep(step live.StepFunc) simnet.StepFunc {
-	return func(node, round int, inbox []simnet.Message, s *rng.Stream) []simnet.Message {
-		var out []simnet.Message
-		step(node, round, inbox, s, func(m simnet.Message) { out = append(out, m) })
-		return out
 	}
 }

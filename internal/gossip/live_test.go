@@ -32,7 +32,7 @@ func TestRunLiveValidation(t *testing.T) {
 func TestRunLiveCompletes(t *testing.T) {
 	res, err := RunLive(
 		LiveConfig{Profile: bandwidth.Homogeneous(256, 1)},
-		LiveOptions{Seed: 1, Concurrent: true},
+		LiveOptions{Seed: 1},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -46,41 +46,13 @@ func TestRunLiveCompletes(t *testing.T) {
 	}
 }
 
-func TestRunLiveConcurrentEqualsSequential(t *testing.T) {
-	// The goroutine engine and the single-threaded engine must produce the
-	// exact same spreading trace for the same seed — the protocol has no
-	// hidden scheduling dependence.
-	mk := func(concurrent bool) LiveResult {
-		res, err := RunLive(
-			LiveConfig{Profile: bandwidth.Homogeneous(200, 1)},
-			LiveOptions{Seed: 7, Concurrent: concurrent},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := mk(true), mk(false)
-	if a.DatingRounds != b.DatingRounds || a.Completed != b.Completed {
-		t.Fatalf("rounds differ: %d vs %d", a.DatingRounds, b.DatingRounds)
-	}
-	for i := range a.History {
-		if a.History[i] != b.History[i] {
-			t.Fatalf("history diverges at round %d: %d vs %d", i+1, a.History[i], b.History[i])
-		}
-	}
-	if a.Traffic.Sent != b.Traffic.Sent {
-		t.Fatalf("traffic differs: %d vs %d", a.Traffic.Sent, b.Traffic.Sent)
-	}
-}
-
 func TestRunLiveRespectsBandwidth(t *testing.T) {
 	// The handshake guarantees no node receives more payloads per round
 	// than its incoming bandwidth.
 	for _, b := range []int{1, 3} {
 		res, err := RunLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(128, b)},
-			LiveOptions{Seed: 3, Concurrent: true},
+			LiveOptions{Seed: 3},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +67,7 @@ func TestRunLiveRespectsBandwidth(t *testing.T) {
 }
 
 func TestRunLiveHistoryMonotone(t *testing.T) {
-	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(150, 1)}, LiveOptions{Seed: 5, Concurrent: true})
+	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(150, 1)}, LiveOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +88,7 @@ func TestRunLiveMatchesFlatSimulatorStatistically(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		lr, err := RunLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(300, 1)},
-			LiveOptions{Seed: uint64(100 + rep), Concurrent: true},
+			LiveOptions{Seed: uint64(100 + rep)},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +114,7 @@ func TestRunLiveOverheadShape(t *testing.T) {
 	// Per dating round, control traffic is 2 scatter messages per unit of
 	// bandwidth plus one answer per offer; payloads are at most min-side
 	// bandwidth. Verify the traffic mix.
-	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(100, 1)}, LiveOptions{Seed: 9, Concurrent: true})
+	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(100, 1)}, LiveOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +198,12 @@ func TestRunLiveShardedBitIdentity(t *testing.T) {
 }
 
 func TestRunLiveEnginesAgree(t *testing.T) {
-	// All three substrates — goroutine-per-peer, its sequential twin, and
-	// the sharded runtime — share per-peer stream derivation and must give
-	// exactly the same spreading trajectory under the perfect-sync model.
+	// Both substrates — goroutine-per-peer and the sharded runtime at any
+	// shard count — share per-peer stream derivation and must give exactly
+	// the same spreading trajectory under the perfect-sync model.
 	cfg := LiveConfig{Profile: bandwidth.Homogeneous(1500, 1)}
-	base := LiveOptions{Seed: 23}
-	variants := []LiveOptions{}
-	for _, concurrent := range []bool{false, true} {
-		o := base
-		o.Engine, o.Concurrent = LiveGoroutine, concurrent
-		variants = append(variants, o)
-	}
+	base := LiveOptions{Seed: 23, Engine: LiveGoroutine}
+	variants := []LiveOptions{base}
 	for _, shards := range []int{1, 4} {
 		o := base
 		o.Engine, o.Shards = LiveSharded, shards
@@ -336,5 +303,5 @@ func TestRunLiveShardedOverlap(t *testing.T) {
 // liveStep is the slice-returning form of the handshake step, used by the
 // single-phase unit tests above.
 func liveStep(profile bandwidth.Profile, sel core.Selector, st *livePeerState) simnet.StepFunc {
-	return adaptStep(liveEmitStep(profile, sel, st))
+	return adaptStep(profile.N(), liveEmitStep(profile, sel, st))
 }

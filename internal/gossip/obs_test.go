@@ -2,8 +2,8 @@ package gossip
 
 // Instrumentation-identity tests: attaching an observer is read-only, so an
 // instrumented run must be bit-identical to an uninstrumented one — for the
-// sharded live runtime, the clockless async runtime and the dating round
-// loop, at multiple shard counts. These are the in-process counterparts of
+// three specs on the sharded live runtime, the clockless async runtime and
+// the dating round loop, at multiple shard counts. These are the in-process counterparts of
 // the CI smoke that compares datebench digests with and without -trace.
 
 import (
@@ -17,26 +17,53 @@ import (
 )
 
 func TestLiveObserverIdentity(t *testing.T) {
-	cfg := LiveConfig{Profile: bandwidth.Homogeneous(600, 1)}
-	for _, shards := range []int{1, 4} {
-		plain, err := RunLive(cfg, LiveOptions{Seed: 7, Engine: LiveSharded, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+	// Every spec on the shared live driver, each with the gauges of its own
+	// track: the runtime's traffic gauges for the dating handshake, plus
+	// the protocol's state gauges for topology and consensus.
+	g := mustBA(t, 600, 2, 3)
+	specs := []struct {
+		name   string
+		run    func(LiveOptions) (res any, rounds int, err error)
+		track  string
+		gauges []string
+	}{
+		{"live", func(o LiveOptions) (any, int, error) {
+			r, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(600, 1)}, o)
+			return r, r.DatingRounds, err
+		}, "live", nil},
+		{"topology", func(o LiveOptions) (any, int, error) {
+			r, err := RunTopology(TopologyConfig{Graph: g, Alpha: 0.25}, o)
+			return r, r.Rounds, err
+		}, "topology", []string{"spreaders", "stiflers"}},
+		{"consensus", func(o LiveOptions) (any, int, error) {
+			r, err := RunConsensus(ConsensusConfig{Variants: 3, Graph: g, Rule: RuleLatest}, o)
+			return r, r.Rounds, err
+		}, "consensus", []string{"variant_1", "variant_2", "variant_3"}},
+	}
+	for _, sp := range specs {
+		for _, shards := range []int{1, 4} {
+			plain, rounds, err := sp.run(LiveOptions{Seed: 7, Engine: LiveSharded, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := obs.NewObserver()
+			traced, _, err := sp.run(LiveOptions{Seed: 7, Engine: LiveSharded, Shards: shards, Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, traced) {
+				t.Fatalf("%s shards=%d: instrumented run differs:\nplain  %+v\ntraced %+v", sp.name, shards, plain, traced)
+			}
+			m := o.Metrics()
+			if m == nil || len(m.Phases) == 0 || len(m.Gauges) == 0 {
+				t.Fatalf("%s shards=%d: observer recorded nothing: %+v", sp.name, shards, m)
+			}
+			assertPhases(t, m, "live", "deliver", "step", "route")
+			assertGaugeShards(t, m, shards)
+			for _, want := range sp.gauges {
+				assertTrackGauge(t, m, sp.track, want, rounds)
+			}
 		}
-		o := obs.NewObserver()
-		traced, err := RunLive(cfg, LiveOptions{Seed: 7, Engine: LiveSharded, Shards: shards, Obs: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Fatalf("shards=%d: instrumented run differs:\nplain  %+v\ntraced %+v", shards, plain, traced)
-		}
-		m := o.Metrics()
-		if m == nil || len(m.Phases) == 0 || len(m.Gauges) == 0 {
-			t.Fatalf("shards=%d: observer recorded nothing: %+v", shards, m)
-		}
-		assertPhases(t, m, "live", "deliver", "step", "route")
-		assertGaugeShards(t, m, shards)
 	}
 }
 
@@ -144,4 +171,18 @@ func assertGaugeShards(t *testing.T, m *obs.Metrics, shards int) {
 			t.Fatalf("gauge %s has no samples", g.Name)
 		}
 	}
+}
+
+// assertTrackGauge checks the named gauge of track sampled once per round.
+func assertTrackGauge(t *testing.T, m *obs.Metrics, track, name string, rounds int) {
+	t.Helper()
+	for _, g := range m.Gauges {
+		if g.Track == track && g.Name == name {
+			if g.Samples != rounds {
+				t.Fatalf("gauge %s/%s has %d samples for %d rounds", track, name, g.Samples, rounds)
+			}
+			return
+		}
+	}
+	t.Fatalf("track %s missing gauge %s: %+v", track, name, m.Gauges)
 }

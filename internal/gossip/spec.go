@@ -67,32 +67,11 @@ func (c LiveConfig) Protocol() string { return "live" }
 // yields the identical report. Trajectory is the informed-peer history; Detail the
 // full LiveResult.
 func (c LiveConfig) Execute(o *run.Options) (run.Report, error) {
-	lo := LiveOptions{
-		Seed: run.SeedFor(o.Seed, run.DomainLive),
-		Net:  o.Net,
-		Obs:  o.Obs,
-	}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		lo.Engine = LiveGoroutine
-		lo.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		lo.Engine = LiveSharded
-		lo.Shards = o.Workers
-	}
-	res, err := RunLive(c, lo)
+	res, err := RunLive(c, liveOptions(o, run.DomainLive))
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.DatingRounds,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		MaxInLoad:  res.MaxInPayloads,
-		Detail:     res,
-	}, nil
+	rep := engineReport(res.DatingRounds, res.Completed, res.History, res.SentHistory, res.Traffic, res)
+	rep.MaxInLoad = res.MaxInPayloads
+	return rep, nil
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/exch"
 	"repro/internal/graph"
 	"repro/internal/live"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/run"
 	"repro/internal/simnet"
@@ -68,28 +67,6 @@ type TopologyConfig struct {
 	Delta float64
 	// MaxRounds caps the run (0 = generous log-based default).
 	MaxRounds int
-}
-
-// TopologyOptions carries the axes of a topology run that are orthogonal to
-// the protocol; under repro.Run they come from the run options.
-type TopologyOptions struct {
-	Seed uint64
-	// Engine picks the substrate; the zero value is the goroutine engine.
-	// All engines share the sharded runtime's per-peer stream derivation, so
-	// the engine choice never changes trajectories.
-	Engine LiveEngine
-	// Concurrent selects the goroutine engine's concurrent mode; ignored by
-	// the sharded engine.
-	Concurrent bool
-	// Shards is the sharded engine's worker count (0 = GOMAXPROCS); every
-	// value is bit-identical.
-	Shards int
-	// Net plugs a network model into the sharded engine; nil is perfect
-	// sync. The goroutine engine rejects non-nil models.
-	Net live.NetModel
-	// Obs, when non-nil, receives the runtime's phase spans plus the
-	// protocol's per-round spreader/stifler gauges on a "topology" track.
-	Obs *obs.Observer
 }
 
 // TopologyResult reports a graph-constrained spreading run.
@@ -212,7 +189,7 @@ func topoSampler(cfg TopologyConfig) (graph.Sampler, error) {
 
 // RunTopology executes graph-constrained spreader/stifler spreading on a
 // live message engine.
-func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) {
+func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return TopologyResult{}, fmt.Errorf("gossip: topology run needs a graph")
 	}
@@ -225,8 +202,9 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 		return TopologyResult{}, fmt.Errorf("gossip: topology rates must lie in [0,1], got alpha=%v lambda=%v delta=%v",
 			cfg.Alpha, cfg.Lambda, cfg.Delta)
 	}
-	if o.Engine == LiveGoroutine && o.Net != nil {
-		return TopologyResult{}, fmt.Errorf("gossip: network models require the sharded engine")
+	d, err := newLiveDriver(n, cfg.MaxRounds, o)
+	if err != nil {
+		return TopologyResult{}, err
 	}
 	lambda := cfg.Lambda
 	if lambda == 0 {
@@ -236,102 +214,46 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 	if err != nil {
 		return TopologyResult{}, err
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 64
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
-	}
-
-	// State blocks match the runtime's shard partition, so each block has
-	// exactly one writing worker; the goroutine engine steps sequentially
-	// per peer and uses a single block.
-	parts := 1
-	if o.Engine == LiveSharded {
-		parts = live.EffectiveShards(n, o.Shards)
-	}
-	st := newTopoState(n, parts)
+	st := newTopoState(n, d.parts)
 	st.set(cfg.Source, topoSpreader)
-
-	step := topoStep(sampler, st, cfg.Alpha, lambda, cfg.Delta)
-	var runRounds func(rounds int) simnet.Stats
-	maxDelay := 1
-	switch o.Engine {
-	case LiveGoroutine:
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
-		if err != nil {
-			return TopologyResult{}, err
-		}
-		if o.Concurrent {
-			runRounds = eng.Run
-		} else {
-			runRounds = eng.RunSequential
-		}
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N:      n,
-			Seed:   o.Seed,
-			Step:   step,
-			Shards: o.Shards,
-			Net:    o.Net,
-			Obs:    o.Obs,
-		})
-		if err != nil {
-			return TopologyResult{}, err
-		}
-		runRounds = rt.Run
-		if o.Net != nil {
-			maxDelay = o.Net.MaxDelay()
-		}
-	default:
-		return TopologyResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
+	if err := d.start(topoStep(sampler, st, cfg.Alpha, lambda, cfg.Delta)); err != nil {
+		return TopologyResult{}, err
 	}
 
 	tr := o.Obs.Track("topology", 1)
 	gSpread := tr.Gauge("spreaders")
 	gStifle := tr.Gauge("stiflers")
+	// A network model delays a contact by up to MaxDelay rounds.
+	maxDelay := 1
+	if o.Net != nil {
+		maxDelay = o.Net.MaxDelay()
+	}
 
 	var res TopologyResult
-	var prevSent int64
 	informed := 0
 	quiet := 0
-	for round := 1; round <= maxRounds; round++ {
-		res.Traffic = runRounds(1)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
+	r := d.loop(0, 1, func(round int) bool {
 		spreaders, stiflers := st.counts()
 		informed = spreaders + stiflers
-		res.Rounds = round
 		res.History = append(res.History, informed)
 		res.SpreaderHist = append(res.SpreaderHist, spreaders)
 		res.StiflerHist = append(res.StiflerHist, stiflers)
 		gSpread.Sample(round, int64(spreaders))
 		gStifle.Sample(round, int64(stiflers))
 		tr.Barrier()
-		if spreaders == 0 {
-			// No spreader emitted a contact this round; once that holds for
-			// maxDelay consecutive rounds no stale contact from an earlier
-			// round is in flight either, so the epidemic is over. (Informed
-			// peers still answer contacts, so full spread alone does not
-			// quiesce traffic — stop there too.)
-			quiet++
-			if quiet >= maxDelay {
-				res.Completed = true
-				break
-			}
-		} else {
+		if spreaders > 0 {
 			quiet = 0
-			if informed == n {
-				res.Completed = true
-				break
-			}
+			return informed == n
 		}
-	}
+		// No spreader emitted a contact this round; once that holds for
+		// maxDelay consecutive rounds no stale contact from an earlier
+		// round is in flight either, so the epidemic is over. (Informed
+		// peers still answer contacts, so full spread alone does not
+		// quiesce traffic — stop there too.)
+		quiet++
+		return quiet >= maxDelay
+	})
+	res.Rounds, res.Completed, res.SentHistory, res.Traffic = r.rounds, r.completed, r.sent, r.traffic
 	res.FinalSpread = float64(informed) / float64(n)
 	return res, nil
 }
@@ -346,31 +268,9 @@ func (c TopologyConfig) Protocol() string { return "topology" }
 // sync. Trajectory is the informed-peer history; Detail the full
 // TopologyResult (spreader/stifler split, final spread fraction).
 func (c TopologyConfig) Execute(o *run.Options) (run.Report, error) {
-	topts := TopologyOptions{
-		Seed: run.SeedFor(o.Seed, run.DomainTopology),
-		Net:  o.Net,
-		Obs:  o.Obs,
-	}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		topts.Engine = LiveGoroutine
-		topts.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		topts.Engine = LiveSharded
-		topts.Shards = o.Workers
-	}
-	res, err := RunTopology(c, topts)
+	res, err := RunTopology(c, liveOptions(o, run.DomainTopology))
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		Detail:     res,
-	}, nil
+	return engineReport(res.Rounds, res.Completed, res.History, res.SentHistory, res.Traffic, res), nil
 }

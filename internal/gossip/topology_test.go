@@ -46,20 +46,16 @@ func TestTopologyShardIdentity(t *testing.T) {
 	}
 }
 
-// TestTopologyEngineIdentity pins that the goroutine engine (sequential and
-// concurrent) reproduces the sharded runtime bit for bit — all engines share
-// the per-peer stream derivation.
+// TestTopologyEngineIdentity pins that the goroutine engine reproduces the
+// sharded runtime bit for bit — all engines share the per-peer stream
+// derivation.
 func TestTopologyEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)
 	cfg := TopologyConfig{Graph: g, Source: 5, Alpha: 0.3, Delta: 0.01}
 	sharded := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
-	seq := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveGoroutine})
-	conc := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
-	if fmt.Sprint(seq) != fmt.Sprint(sharded) {
-		t.Errorf("sequential engine diverged:\n got %+v\nwant %+v", seq, sharded)
-	}
-	if fmt.Sprint(conc) != fmt.Sprint(sharded) {
-		t.Errorf("concurrent engine diverged:\n got %+v\nwant %+v", conc, sharded)
+	goroutine := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveGoroutine})
+	if fmt.Sprint(goroutine) != fmt.Sprint(sharded) {
+		t.Errorf("goroutine engine diverged:\n got %+v\nwant %+v", goroutine, sharded)
 	}
 }
 

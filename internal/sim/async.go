@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -211,43 +210,24 @@ func RunAsyncBench(n, shards int, seed uint64) (AsyncBenchResult, error) {
 	if n <= 0 {
 		return AsyncBenchResult{}, fmt.Errorf("sim: async bench needs positive n, got %d", n)
 	}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	res := AsyncBenchResult{N: n, Identical: true}
-	var ref []int
-	for i, sc := range shardCounts {
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)},
-			run.WithSeed(seed), run.WithWorkers(sc))
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return AsyncBenchResult{}, err
-		}
-		if !rep.Completed {
-			return AsyncBenchResult{}, fmt.Errorf("sim: async bench shards=%d incomplete after %d buckets", sc, rep.Rounds)
-		}
-		if i == 0 {
-			ref = rep.Trajectory
-			res.TrajectoryDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(rep.Trajectory, ref) {
-			res.Identical = false
-		}
-		detail := rep.Detail.(gossip.AsyncResult)
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		res.Rows = append(res.Rows, AsyncBenchRow{
-			Shards:       sc,
-			Buckets:      rep.Rounds,
-			Time:         detail.Time,
-			SecPerBucket: p.SecondsPerRound,
-			MsgsPerSec:   p.MessagesPerSecond,
-			Fired:        detail.Fired,
+	res := AsyncBenchResult{N: n}
+	var err error
+	res.TrajectoryDigest, res.Identical, err = benchSweep("async", n,
+		gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, trajectory, shardRuns(seed, shards),
+		func(rep run.Report, p BenchPoint) {
+			det := rep.Detail.(gossip.AsyncResult)
+			res.Rows = append(res.Rows, AsyncBenchRow{
+				Shards:       rep.Workers,
+				Buckets:      rep.Rounds,
+				Time:         det.Time,
+				SecPerBucket: p.SecondsPerRound,
+				MsgsPerSec:   p.MessagesPerSecond,
+				Fired:        det.Fired,
+			})
+			res.Points = append(res.Points, p)
 		})
-		res.Points = append(res.Points, p)
+	if err != nil {
+		return AsyncBenchResult{}, err
 	}
 	return res, nil
 }

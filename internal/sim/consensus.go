@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -245,43 +244,25 @@ func RunConsensusBench(n, shards int, seed uint64) (ConsensusBenchResult, error)
 		return ConsensusBenchResult{}, err
 	}
 	cfg := gossip.ConsensusConfig{Variants: 3, Graph: g, Seeding: gossip.SeedDistinct, Rule: gossip.RuleLatest}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
+	shareHist := func(rep run.Report) []int {
+		return flattenShares(rep.Detail.(gossip.ConsensusResult).ShareHist)
 	}
-	res := ConsensusBenchResult{N: n, GraphDigest: g.Digest(), Identical: true}
-	var ref []int
-	for i, sc := range shardCounts {
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(cfg, run.WithSeed(seed), run.WithWorkers(sc))
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return ConsensusBenchResult{}, err
-		}
-		if !rep.Completed {
-			return ConsensusBenchResult{}, fmt.Errorf("sim: consensus bench shards=%d did not converge in %d rounds", sc, rep.Rounds)
-		}
-		det := rep.Detail.(gossip.ConsensusResult)
-		flat := flattenShares(det.ShareHist)
-		if i == 0 {
-			ref = flat
-			res.ShareDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(flat, ref) {
-			res.Identical = false
-		}
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		res.Rows = append(res.Rows, ConsensusBenchRow{
-			Shards:      sc,
-			Rounds:      rep.Rounds,
-			Winner:      det.Winner,
-			Agreement:   det.Agreement,
-			SecPerRound: p.SecondsPerRound,
-			MsgsPerSec:  p.MessagesPerSecond,
+	res := ConsensusBenchResult{N: n, GraphDigest: g.Digest()}
+	res.ShareDigest, res.Identical, err = benchSweep("consensus", n, cfg, shareHist, shardRuns(seed, shards),
+		func(rep run.Report, p BenchPoint) {
+			det := rep.Detail.(gossip.ConsensusResult)
+			res.Rows = append(res.Rows, ConsensusBenchRow{
+				Shards:      rep.Workers,
+				Rounds:      rep.Rounds,
+				Winner:      det.Winner,
+				Agreement:   det.Agreement,
+				SecPerRound: p.SecondsPerRound,
+				MsgsPerSec:  p.MessagesPerSecond,
+			})
+			res.Points = append(res.Points, p)
 		})
-		res.Points = append(res.Points, p)
+	if err != nil {
+		return ConsensusBenchResult{}, err
 	}
 	return res, nil
 }

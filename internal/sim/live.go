@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -193,63 +192,33 @@ func RunLiveBench(n, shards int, baseline bool, seed uint64) (LiveBenchResult, e
 	if n <= 0 {
 		return LiveBenchResult{}, fmt.Errorf("sim: live bench needs positive n, got %d", n)
 	}
-	type runSpec struct {
-		engine string
-		shards int
-		opts   []run.Option
-	}
-	specs := []runSpec{}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	for _, sc := range shardCounts {
-		specs = append(specs, runSpec{"sharded", sc,
-			[]run.Option{run.WithSeed(seed), run.WithWorkers(sc), run.WithEngine(run.EngineSharded)}})
-	}
+	runs := shardRuns(seed, shards, run.WithEngine(run.EngineSharded))
+	sharded := len(runs)
 	if baseline {
-		specs = append(specs, runSpec{"goroutine", 0,
-			[]run.Option{run.WithSeed(seed), run.WithEngine(run.EngineGoroutine)}})
+		runs = append(runs, []run.Option{run.WithSeed(seed), run.WithEngine(run.EngineGoroutine)})
 	}
-
-	res := LiveBenchResult{N: n, Identical: true}
-	var ref []int
+	res := LiveBenchResult{N: n}
 	var goroutineSec float64
-	for i, spec := range specs {
-		// The memory sample brackets run.Run entirely (runtime construction
-		// included); the GC keeps the heap comparable across engines.
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}, spec.opts...)
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return LiveBenchResult{}, err
-		}
-		if !rep.Completed {
-			return LiveBenchResult{}, fmt.Errorf("sim: live bench %s/%d incomplete after %d dating rounds",
-				spec.engine, spec.shards, rep.Rounds)
-		}
-		if i == 0 {
-			ref = rep.Trajectory
-			res.TrajectoryDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(rep.Trajectory, ref) {
-			res.Identical = false
-		}
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		row := LiveBenchRow{
-			Engine:       spec.engine,
-			Shards:       spec.shards,
-			DatingRounds: rep.Rounds,
-			SecPerDating: p.SecondsPerRound,
-			MsgsPerSec:   p.MessagesPerSecond,
-		}
-		if spec.engine == "goroutine" {
-			goroutineSec = row.SecPerDating
-		}
-		res.Rows = append(res.Rows, row)
-		res.Points = append(res.Points, p)
+	var err error
+	res.TrajectoryDigest, res.Identical, err = benchSweep("live", n,
+		gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}, trajectory, runs,
+		func(rep run.Report, p BenchPoint) {
+			row := LiveBenchRow{
+				Engine:       "sharded",
+				Shards:       rep.Workers,
+				DatingRounds: rep.Rounds,
+				SecPerDating: p.SecondsPerRound,
+				MsgsPerSec:   p.MessagesPerSecond,
+			}
+			if len(res.Rows) >= sharded {
+				row.Engine, row.Shards = "goroutine", 0
+				goroutineSec = row.SecPerDating
+			}
+			res.Rows = append(res.Rows, row)
+			res.Points = append(res.Points, p)
+		})
+	if err != nil {
+		return LiveBenchResult{}, err
 	}
 	if goroutineSec > 0 {
 		for i := range res.Rows {

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/coding"
@@ -77,6 +78,61 @@ func PointFromReport(n int, rep run.Report) BenchPoint {
 	}
 	return p
 }
+
+// shardRuns is the option sets of a runtime bench's shard sweep: one run at
+// 1 worker, then one at shards workers when that is more.
+func shardRuns(seed uint64, shards int, extra ...run.Option) [][]run.Option {
+	counts := []int{1}
+	if shards > 1 {
+		counts = append(counts, shards)
+	}
+	runs := make([][]run.Option, len(counts))
+	for i, sc := range counts {
+		runs[i] = append([]run.Option{run.WithSeed(seed), run.WithWorkers(sc)}, extra...)
+	}
+	return runs
+}
+
+// benchSweep runs spec over n nodes once per option set through the unified
+// runner and hands each run's report and bench point to row. Every run is
+// preceded by a GC, so the heap is comparable across runs, and its memory
+// sample brackets run.Run entirely (runtime construction included). A run
+// that does not complete is an error. key extracts a run's identity
+// witness; the sweep returns the digest of the first run's witness and
+// whether every later run matched it — disagreement is reported, not an
+// error, so the caller decides whether it gates.
+func benchSweep(what string, n int, spec run.Spec, key func(run.Report) []int,
+	runs [][]run.Option, row func(rep run.Report, p BenchPoint)) (digest string, identical bool, err error) {
+	identical = true
+	var ref []int
+	for i, opts := range runs {
+		runtime.GC()
+		var memBefore, memAfter runtime.MemStats
+		runtime.ReadMemStats(&memBefore)
+		rep, err := run.Run(spec, opts...)
+		runtime.ReadMemStats(&memAfter)
+		if err != nil {
+			return "", false, err
+		}
+		if !rep.Completed {
+			return "", false, fmt.Errorf("sim: %s bench run %d (workers %d) incomplete after %d rounds",
+				what, i+1, rep.Workers, rep.Rounds)
+		}
+		if k := key(rep); i == 0 {
+			ref = k
+			digest = TrajectoryDigest(ref)
+		} else if !slices.Equal(k, ref) {
+			identical = false
+		}
+		p := PointFromReport(n, rep)
+		p.SampleMem(&memBefore, &memAfter)
+		row(rep, p)
+	}
+	return digest, identical, nil
+}
+
+// trajectory is the identity witness of most benches: the run's trajectory.
+func trajectory(rep run.Report) []int { return rep.Trajectory }
 
 // TrajectoryDigest folds a run's trajectory into an FNV-1a 64 hex digest.
 // The trajectory is the deterministic heart of a report — a pure function of

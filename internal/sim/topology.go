@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
@@ -201,42 +200,21 @@ func RunTopologyBench(n, shards int, seed uint64) (TopologyBenchResult, error) {
 	if err != nil {
 		return TopologyBenchResult{}, err
 	}
-	cfg := gossip.TopologyConfig{Graph: g, Source: 0, Alpha: 0.25}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	res := TopologyBenchResult{N: n, GraphDigest: g.Digest(), Identical: true}
-	var ref []int
-	for i, sc := range shardCounts {
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(cfg, run.WithSeed(seed), run.WithWorkers(sc))
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return TopologyBenchResult{}, err
-		}
-		if !rep.Completed {
-			return TopologyBenchResult{}, fmt.Errorf("sim: topology bench shards=%d did not terminate in %d rounds", sc, rep.Rounds)
-		}
-		if i == 0 {
-			ref = rep.Trajectory
-			res.TrajectoryDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(rep.Trajectory, ref) {
-			res.Identical = false
-		}
-		det := rep.Detail.(gossip.TopologyResult)
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		res.Rows = append(res.Rows, TopologyBenchRow{
-			Shards:      sc,
-			Rounds:      rep.Rounds,
-			FinalSpread: det.FinalSpread,
-			SecPerRound: p.SecondsPerRound,
-			MsgsPerSec:  p.MessagesPerSecond,
+	res := TopologyBenchResult{N: n, GraphDigest: g.Digest()}
+	res.TrajectoryDigest, res.Identical, err = benchSweep("topology", n,
+		gossip.TopologyConfig{Graph: g, Source: 0, Alpha: 0.25}, trajectory, shardRuns(seed, shards),
+		func(rep run.Report, p BenchPoint) {
+			res.Rows = append(res.Rows, TopologyBenchRow{
+				Shards:      rep.Workers,
+				Rounds:      rep.Rounds,
+				FinalSpread: rep.Detail.(gossip.TopologyResult).FinalSpread,
+				SecPerRound: p.SecondsPerRound,
+				MsgsPerSec:  p.MessagesPerSecond,
+			})
+			res.Points = append(res.Points, p)
 		})
-		res.Points = append(res.Points, p)
+	if err != nil {
+		return TopologyBenchResult{}, err
 	}
 	return res, nil
 }

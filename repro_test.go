@@ -348,3 +348,33 @@ func TestRunRejectsNaNRates(t *testing.T) {
 		}
 	}
 }
+
+func TestRunRejectsOverflowingCaps(t *testing.T) {
+	// Sizes derived from hostile inputs must be checked before they
+	// overflow: these come back as errors, never as a panic or as an empty
+	// run without an error.
+	g, err := repro.BarabasiAlbertGraph(200, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := repro.Homogeneous(64, 1)
+	cases := []struct {
+		name string
+		spec repro.Spec
+	}{
+		{"async NaN max time", repro.AsyncConfig{Profile: p, MaxTime: math.NaN()}},
+		{"async +Inf max time", repro.AsyncConfig{Profile: p, MaxTime: math.Inf(1)}},
+		{"async bucket count past int", repro.AsyncConfig{Profile: p, BucketWidth: 1e-300}},
+		{"consensus seeds, random", repro.ConsensusConfig{Variants: 3, Graph: g,
+			Seeding: repro.ConsensusSeedDistinct, SeedsPerVariant: 1 << 62}},
+		{"consensus seeds, hub", repro.ConsensusConfig{Variants: 3, Graph: g,
+			Seeding: repro.ConsensusSeedHubLeaf, SeedsPerVariant: 1 << 62}},
+		{"consensus seeds, clustered", repro.ConsensusConfig{Variants: 3, Graph: g,
+			Seeding: repro.ConsensusSeedClustered, SeedsPerVariant: 1 << 62}},
+	}
+	for _, tc := range cases {
+		if _, err := repro.Run(tc.spec, repro.WithSeed(1)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
